@@ -30,11 +30,21 @@ from .modeling import (
     parse_model,
 )
 from .oracle import oracle_partial, oracle_total
-from .proofs import AprPredicate, SplitStrategy, is_acyclic, proof_graph, to_dot
+# The Verdict carries its proof graph; proof_graph and is_acyclic stay in
+# this namespace because bench/tracing.py wraps them here.
+from .proofs import (  # noqa: F401
+    AprPredicate,
+    SplitStrategy,
+    format_predicate,
+    is_acyclic,
+    proof_graph,
+    to_dot,
+)
 from .prover import (
     FinitePath,
     NodeBudgetExceeded,
     ProverConfig,
+    Verdict,
     VerdictKind,
     Witness,
     check_partial,
@@ -127,8 +137,9 @@ def _resolve_set(ars: Ars, expansion: Expansion | None, text: str, what: str) ->
 
 
 def _run_query(ars: Ars, pred: AprPredicate, mode: str, engine: str,
-               strategy: str, max_nodes: int) -> tuple[bool, str, Witness | None, dict | None, object]:
-    """Returns (holds, verdict name, witness, stats dict, pre_proof or None)."""
+               strategy: str, max_nodes: int) -> tuple[bool, str, Witness | None, dict | None,
+                                                        Verdict | None]:
+    """Returns (holds, verdict name, witness, stats dict, prover verdict or None)."""
     if engine == "oracle":
         answer = oracle_partial(ars, pred) if mode == "partial" else oracle_total(ars, pred)
         if mode == "partial":
@@ -138,57 +149,54 @@ def _run_query(ars: Ars, pred: AprPredicate, mode: str, engine: str,
         return answer.valid, verdict.value, answer.witness, None, None
     cfg = ProverConfig(strategy=SplitStrategy(strategy), node_budget=max_nodes)
     verd = check_partial(ars, pred, cfg) if mode == "partial" else check_total(ars, pred, cfg)
-    graph = proof_graph(verd.pre_proof)
     stats = {
         "nodes": verd.stats.nodes,
         "buds": verd.stats.buds,
         "rules": verd.stats.rule_counts,
-        "graph_vertices": len(graph.vertices),
-        "graph_edges": len(graph.edges),
-        "graph_acyclic": is_acyclic(graph),
+        "graph_vertices": len(verd.graph.vertices),
+        "graph_edges": len(verd.graph.edges),
+        "graph_acyclic": verd.acyclic,
     }
     holds = verd.kind in (VerdictKind.PARTIALLY_VALID, VerdictKind.TOTALLY_VALID)
-    return holds, verd.kind.value, verd.witness, stats, verd.pre_proof
+    return holds, verd.kind.value, verd.witness, stats, verd
 
 
-def _emit_proof(ars: Ars, pre_proof, path: str) -> None:
-    if pre_proof is None:
+def _emit_proof(ars: Ars, verd: Verdict | None, path: str) -> None:
+    if verd is None:
         raise UsageError("--emit-proof requires the prover engine")
-    dot = to_dot(ars, proof_graph(pre_proof))
+    dot = to_dot(ars, verd.graph)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dot)
 
 
-def _emit_trace(ars: Ars, pre_proof, path: str) -> None:
-    from .proofs import format_predicate
-
-    if pre_proof is None:
+def _emit_trace(ars: Ars, verd: Verdict | None, path: str) -> None:
+    if verd is None:
         raise UsageError("--emit-trace requires the prover engine")
-    t = pre_proof.tree
-    lines: list[str] = []
-
-    def walk(v: int, depth: int) -> None:
-        indent = "  " * depth
-        pred = format_predicate(ars, t.preds[v])
-        if v in pre_proof.xi:
-            lines.append(f"{indent}bud {pred} -> node {pre_proof.xi[v]}")
-            return
-        rule = t.rules.get(v)
-        label = str(rule) if rule is not None else "open"
-        lines.append(f"{indent}{label} [{v}] {pred}")
-        for c in t.children.get(v, ()):
-            walk(c, depth + 1)
-
-    walk(t.root, 0)
+    t = verd.pre_proof.tree
+    xi = verd.pre_proof.xi
+    # Proof trees are as deep as the longest run they follow, so the walk
+    # is the tree's iterative preorder, not a recursion.  Lines are written
+    # as they are made: their indentation makes the trace quadratic in depth.
+    depth = {t.root: 0}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for v in t.preorder():
+            indent = "  " * depth[v]
+            pred = format_predicate(ars, t.preds[v])
+            if v in xi:
+                fh.write(f"{indent}bud {pred} -> node {xi[v]}\n")
+                continue
+            for c in t.children.get(v, ()):
+                depth[c] = depth[v] + 1
+            rule = t.rules.get(v)
+            label = str(rule) if rule is not None else "open"
+            fh.write(f"{indent}{label} [{v}] {pred}\n")
 
 
-def _finish(args, report: RunReport, ars: Ars, pre_proof) -> int:
+def _finish(args, report: RunReport, ars: Ars, verd: Verdict | None) -> int:
     if getattr(args, "emit_proof", None):
-        _emit_proof(ars, pre_proof, args.emit_proof)
+        _emit_proof(ars, verd, args.emit_proof)
     if getattr(args, "emit_trace", None):
-        _emit_trace(ars, pre_proof, args.emit_trace)
+        _emit_trace(ars, verd, args.emit_trace)
     if args.json:
         print(report_to_json(report))
     else:
@@ -211,7 +219,7 @@ def cmd_check(args) -> int:
     source = _resolve_set(ars, expansion, args.source, "source")
     target = _resolve_set(ars, expansion, args.target, "target")
     pred = AprPredicate(source, target)
-    holds, verdict, witness, stats, pre_proof = _run_query(
+    holds, verdict, witness, stats, verd = _run_query(
         ars, pred, args.mode, args.engine, args.strategy, args.max_nodes)
     report = RunReport(
         command="check", source=args.source, target=args.target, mode=args.mode,
@@ -219,7 +227,7 @@ def cmd_check(args) -> int:
         verdict=verdict, holds=holds,
         witness=None if witness is None else render_witness(ars, witness),
         stats=stats, time_ms=int((time.perf_counter() - started) * 1000))
-    return _finish(args, report, ars, pre_proof)
+    return _finish(args, report, ars, verd)
 
 
 def cmd_safety(args) -> int:
@@ -228,7 +236,7 @@ def cmd_safety(args) -> int:
     source = _resolve_set(ars, expansion, args.source, "from")
     errors = _resolve_set(ars, expansion, args.error, "error")
     query_ars, pred = build_safety_query(ars, source, errors)
-    holds, verdict, witness, stats, pre_proof = _run_query(
+    holds, verdict, witness, stats, verd = _run_query(
         query_ars, pred, "partial", args.engine, args.strategy, args.max_nodes)
     report = RunReport(
         command="safety", source=args.source, target=args.error, mode="partial",
@@ -238,7 +246,7 @@ def cmd_safety(args) -> int:
         stats=stats, time_ms=int((time.perf_counter() - started) * 1000))
     if not args.json:
         print("safe: no error state reachable" if holds else "unsafe: error state reachable")
-    return _finish(args, report, query_ars, pre_proof)
+    return _finish(args, report, query_ars, verd)
 
 
 def cmd_liveness(args) -> int:
@@ -247,7 +255,7 @@ def cmd_liveness(args) -> int:
     source = _resolve_set(ars, expansion, args.source, "from")
     goal = _resolve_set(ars, expansion, args.goal, "goal")
     pred = AprPredicate(source, goal)
-    holds, verdict, witness, stats, pre_proof = _run_query(
+    holds, verdict, witness, stats, verd = _run_query(
         ars, pred, "total", args.engine, args.strategy, args.max_nodes)
     report = RunReport(
         command="liveness", source=args.source, target=args.goal, mode="total",
@@ -257,7 +265,7 @@ def cmd_liveness(args) -> int:
         stats=stats, time_ms=int((time.perf_counter() - started) * 1000))
     if not args.json:
         print("live: goal reached on every path" if holds else "not live: a path avoids the goal")
-    return _finish(args, report, ars, pre_proof)
+    return _finish(args, report, ars, verd)
 
 
 def cmd_expand(args) -> int:

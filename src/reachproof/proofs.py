@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .ars import Ars, ArsError, StateSet, canon, derivative, is_runnable
 
@@ -72,6 +72,9 @@ class RuleName(Enum):
         return self.value
 
 
+_RULES = tuple(RuleName)
+
+
 class SplitStrategy(Enum):
     """How ``Subs``/``Der`` premises partition their result set.
 
@@ -105,45 +108,68 @@ def applicable_rules(ars: Ars, pred: AprPredicate) -> list[RuleName]:
 
 
 def applicable_rule(ars: Ars, pred: AprPredicate) -> RuleName:
-    """The unique rule applicable to a non-bottom goal."""
-    rules = applicable_rules(ars, pred)
-    assert len(rules) == 1, f"rule uniqueness violated for {pred}: {rules}"
-    return rules[0]
+    """The unique rule applicable to a canonical non-bottom goal.
+
+    Costs one pass over the source and the target, whatever the proof
+    around the goal: because both are canonical, ids are range-checked at
+    the ends of each tuple, and the overlap and the normal-form hit are
+    ``set.isdisjoint`` tests.  Out-of-table ids raise UnknownObjectError.
+    """
+    if pred.is_bottom:
+        raise ValueError("no rule applies to the bottom predicate")
+    p = pred.source
+    n = ars.n
+    for ids in (p, pred.target):
+        if ids and (ids[0] < 0 or ids[-1] >= n):
+            ars.check_members(ids)  # raises, naming the bad ids
+    overlap = not set(pred.target).isdisjoint(p)
+    stuck = not ars._nf.isdisjoint(p)
+    # Side conditions in RuleName order: Axiom, Subs, Der, Dis.
+    holds = (not p, overlap, bool(p) and not overlap and not stuck,
+             bool(p) and not overlap and stuck)
+    assert sum(holds) == 1, f"rule uniqueness violated for {pred}: {holds}"
+    return _RULES[holds.index(True)]
 
 
 def premises(
     ars: Ars,
     pred: AprPredicate,
     strategy: SplitStrategy = SplitStrategy.EAGER,
-    fold_sources: Iterable[StateSet] = (),
+    fold_sources: Container[StateSet] = (),
 ) -> tuple[RuleName, list[AprPredicate]]:
-    """Apply the unique rule to `pred` and return its child goals.
+    """Apply the unique rule to the canonical goal `pred` and return its
+    child goals, which are canonical again.
 
-    `fold_sources` is the set of source sets of companions currently
-    available to the caller (same target as `pred`); the eager strategy
-    splits those states off as singleton children so they can close as
-    buds.  Children always share the parent's target.  No child is empty
-    except the single ``Subs`` child of a goal whose source is already
-    contained in the target.
+    `fold_sources` holds the source sets of companions currently available
+    to the caller (same target as `pred`); the eager strategy splits those
+    states off as singleton children so they can close as buds.  It is only
+    tested with ``in``, never copied or iterated, so the cost of a call
+    does not grow with the proof around it.  Children always share the
+    parent's target.  No child is empty except the single ``Subs`` child
+    of a goal whose source is already contained in the target.
     """
     rule = applicable_rule(ars, pred)
-    q = pred.target
+    p, q = pred.source, pred.target
     if rule is RuleName.AXIOM:
         return rule, []
     if rule is RuleName.SUBS:
-        rest = canon(set(pred.source) - set(q))
-        return rule, [AprPredicate(rest, q)]
+        qs = set(q)
+        return rule, [AprPredicate(tuple(s for s in p if s not in qs), q)]
     if rule is RuleName.DIS:
         return rule, [BOTTOM]
-    deriv = derivative(ars, pred.source)
+    succ_union: set[int] = set()
+    for s in p:
+        succ_union.update(ars.succs[s])
+    deriv = tuple(sorted(succ_union))
     if strategy is SplitStrategy.MONOLITHIC:
         return rule, [AprPredicate(deriv, q)]
-    folds = set(fold_sources)
-    matched = [t for t in deriv if (t,) in folds]
-    rest = canon(set(deriv) - set(matched))
-    parts: list[AprPredicate] = [AprPredicate((t,), q) for t in matched]
+    matched: list[int] = []
+    rest: list[int] = []
+    for t in deriv:
+        (matched if (t,) in fold_sources else rest).append(t)
+    parts = [AprPredicate((t,), q) for t in matched]
     if rest:
-        parts.append(AprPredicate(rest, q))
+        parts.append(AprPredicate(tuple(rest), q))
     return rule, parts
 
 

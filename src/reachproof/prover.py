@@ -14,7 +14,7 @@ dug out of the target-avoiding region.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .ars import (
@@ -28,6 +28,7 @@ from .proofs import (
     AprPredicate,
     DerivationTree,
     PreProof,
+    ProofGraph,
     RuleName,
     SplitStrategy,
     is_acyclic,
@@ -94,10 +95,15 @@ class ProofStats:
 
 @dataclass
 class Verdict:
+    """A decision with the pre-proof behind it and that pre-proof's proof
+    graph, built once per query, and whether the graph is acyclic."""
+
     kind: VerdictKind
     pre_proof: PreProof
     witness: Witness | None
     stats: ProofStats
+    graph: ProofGraph
+    acyclic: bool
 
 
 def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreProof:
@@ -111,8 +117,8 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
     cfg = cfg or ProverConfig()
     if pred.is_bottom:
         raise ValueError("cannot prove the bottom predicate")
-    ars.check_members(pred.source)
-    ars.check_members(pred.target)
+    # The only canonicalisation: every later goal is built canonical.
+    pred = AprPredicate(ars.check_members(pred.source), ars.check_members(pred.target))
 
     preds: list[AprPredicate] = [pred]
     rules: dict[int, RuleName] = {}
@@ -155,13 +161,18 @@ def stats_of(pp: PreProof) -> ProofStats:
     return ProofStats(nodes=pp.tree.node_count, buds=len(pp.xi), rule_counts=counts)
 
 
+def _verdict(kind: VerdictKind, pp: PreProof, witness: Witness | None) -> Verdict:
+    graph = proof_graph(pp)
+    return Verdict(kind, pp, witness, stats_of(pp), graph, is_acyclic(graph))
+
+
 def check_partial(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
     """Decide whether every finite run from the source reaches the target."""
     pp = prove(ars, pred, cfg)
     if pp.classification == "disproof":
         witness = FinitePath(extract_finite_counterexample(ars, pp))
-        return Verdict(VerdictKind.NOT_PARTIALLY_VALID, pp, witness, stats_of(pp))
-    return Verdict(VerdictKind.PARTIALLY_VALID, pp, None, stats_of(pp))
+        return _verdict(VerdictKind.NOT_PARTIALLY_VALID, pp, witness)
+    return _verdict(VerdictKind.PARTIALLY_VALID, pp, None)
 
 
 def check_total(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
@@ -174,10 +185,11 @@ def check_total(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -
     pp = prove(ars, pred, cfg)
     if pp.classification == "disproof":
         witness: Witness = FinitePath(extract_finite_counterexample(ars, pp))
-        return Verdict(VerdictKind.NOT_TOTALLY_VALID, pp, witness, stats_of(pp))
-    if is_acyclic(proof_graph(pp)):
-        return Verdict(VerdictKind.TOTALLY_VALID, pp, None, stats_of(pp))
-    return Verdict(VerdictKind.NOT_TOTALLY_VALID, pp, extract_lasso(ars, pred), stats_of(pp))
+        return _verdict(VerdictKind.NOT_TOTALLY_VALID, pp, witness)
+    verdict = _verdict(VerdictKind.TOTALLY_VALID, pp, None)
+    if verdict.acyclic:
+        return verdict
+    return replace(verdict, kind=VerdictKind.NOT_TOTALLY_VALID, witness=extract_lasso(ars, pred))
 
 
 def extract_finite_counterexample(ars: Ars, disproof: PreProof) -> ExecutionPath:

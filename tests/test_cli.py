@@ -192,6 +192,42 @@ class TestExpandExport:
             assert "bud {a} => {c,d} -> node 0" in trace.read_text()
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("strategy, source, target, expected", [
+        ("eager", "a", "c,d",
+         "Der [0] {a} => {c,d}\n"
+         "  Subs [1] {b,d} => {c,d}\n"
+         "    Der [2] {b} => {c,d}\n"
+         "      bud {a} => {c,d} -> node 0\n"
+         "      Subs [4] {c} => {c,d}\n"
+         "        Axiom [5] {} => {c,d}\n"),
+        ("monolithic", "a", "c",
+         "Der [0] {a} => {c}\n"
+         "  Dis [1] {b,d} => {c}\n"
+         "    open [2] BOT\n"),
+    ])
+    def test_trace_text(self, capsys, a1_file, tmp_path, strategy, source, target, expected):
+        trace = tmp_path / "proof.trace"
+        run(capsys, "export", "--ars", a1_file, "--source", source, "--target", target,
+            "--strategy", strategy, "--emit-trace", str(trace))
+        assert trace.read_text() == expected
+
+    def test_trace_of_a_deep_proof(self, capsys, tmp_path):
+        # The proof tree is one level per chain state, deeper than the
+        # interpreter's recursion limit.
+        n = 3000
+        system = tmp_path / "chain.ars"
+        system.write_text("states " + " ".join(f"c{i}" for i in range(n)) + "\n"
+                          + "".join(f"trans c{i} c{i + 1}\n" for i in range(n - 1)))
+        trace = tmp_path / "chain.trace"
+        code, out, err = run(capsys, "export", "--ars", str(system), "--source", "c0",
+                             "--target", f"c{n - 1}", "--mode", "total", "--json",
+                             "--emit-proof", str(tmp_path / "chain.dot"),
+                             "--emit-trace", str(trace))
+        assert (code, err) == (0, "")
+        nodes = json.loads(out)["stats"]["nodes"]
+        assert nodes > n
+        assert len(trace.read_text().splitlines()) == nodes
+
     def test_export_needs_an_artifact_path(self, capsys, a1_file):
         code, _, err = run(capsys, "export", "--ars", a1_file,
                            "--source", "a", "--target", "c,d")

@@ -6,6 +6,7 @@ from reachproof import (
     BOTTOM,
     AprPredicate,
     Ars,
+    UnknownObjectError,
     DerivationTree,
     PreProof,
     RuleName,
@@ -93,7 +94,49 @@ def test_exactly_one_rule_applies(data):
     assert len([r for r in rules if r is not RuleName.DIS]) <= 1
 
 
+@given(ars_and_sets(max_states=8), st.sampled_from(["source", "target"]),
+       st.integers(-3, 3))
+def test_premises_applies_the_applicable_rule(data, where, offset):
+    ars, p, q = data
+    pred = AprPredicate(p, q)
+    (rule,) = applicable_rules(ars, pred)
+    assert applicable_rule(ars, pred) is rule
+    for strategy in SplitStrategy:
+        assert premises(ars, pred, strategy)[0] is rule
+    # Out-of-table ids are still rejected, by the fast check at the ends.
+    bad = offset if offset < 0 else ars.n + offset
+    if where == "source":
+        pred = AprPredicate(canon(p + (bad,)), q)
+    else:
+        pred = AprPredicate(p, canon(q + (bad,)))
+    with pytest.raises(UnknownObjectError):
+        applicable_rule(ars, pred)
+    for strategy in SplitStrategy:
+        with pytest.raises(UnknownObjectError):
+            premises(ars, pred, strategy)
+
+
+class MembershipOnly:
+    """A container that answers ``in`` but refuses to be iterated."""
+
+    def __init__(self, items):
+        self.items = set(items)
+
+    def __contains__(self, item):
+        return item in self.items
+
+    def __iter__(self):
+        raise AssertionError("fold_sources was iterated")
+
+
 class TestPremises:
+    def test_fold_sources_only_tested_with_in(self, a1):
+        q = a1.ids_of(["c", "d"])
+        rule, kids = premises(a1, AprPredicate((1,), q), SplitStrategy.EAGER,
+                              fold_sources=MembershipOnly([(0,)]))
+        assert rule is RuleName.DER
+        assert kids == [AprPredicate((0,), q), AprPredicate((2,), q)]
+
     def test_eager_der_splits_off_companion_singletons(self, a1):
         # In-proof context: the goal for {a} is already a companion.
         q = a1.ids_of(["c", "d"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -182,6 +183,8 @@ def _verdict_matches_oracle(ars, pred, cfg):
         if v.witness is not None:
             assert witness_violations(ars, pred, v.witness) == []
         assert validate_pre_proof(ars, v.pre_proof).ok
+        assert v.graph == proof_graph(v.pre_proof)
+        assert v.acyclic == is_acyclic(v.graph)
     return vp, vt
 
 
@@ -224,3 +227,67 @@ def test_proof_graph_cyclic_iff_not_totally_valid():
             continue
         acyclic = is_acyclic(proof_graph(pp))
         assert acyclic == oracle_total(ars, pred).valid
+
+
+def test_non_canonical_root_gives_the_canonical_proof(a1):
+    for cfg in (EAGER, MONO):
+        messy = prove(a1, AprPredicate((1, 0, 1), (3, 2)), cfg)
+        clean = prove(a1, predicate((0, 1), (2, 3)), cfg)
+        assert messy.tree.preds == clean.tree.preds
+        assert messy.tree.rules == clean.tree.rules
+        assert messy.tree.children == clean.tree.children
+        assert messy.xi == clean.xi
+
+
+def _ring_goal():
+    """One source state fanning out to one token on each of the rings
+    2, 3, 5, 7, 11; ring 11 leads back to the source and ring 5 exits into
+    the target."""
+    rings = (2, 3, 5, 7, 11)
+    labels = ["s"] + [f"r{p}_{i}" for p in rings for i in range(p)] + ["x"]
+    ix = {lab: i for i, lab in enumerate(labels)}
+    edges = [(ix[f"r{p}_{i}"], ix[f"r{p}_{(i + 1) % p}"]) for p in rings for i in range(p)]
+    edges += [(ix["s"], ix[f"r{p}_0"]) for p in rings]
+    edges += [(ix["r11_2"], ix["s"]), (ix["r5_3"], ix["x"])]
+    return Ars(labels, edges), predicate([ix["s"]], [ix["r11_5"], ix["x"]])
+
+
+def _chain_goal():
+    """A 61-state spine with two detours and one branch back into the
+    singleton goals near the source, plus a back edge further on."""
+    n = 60
+    labels = [f"c{i}" for i in range(n + 1)] + [f"b{j}_{k}" for j in range(3) for k in range(4)]
+    ix = {lab: i for i, lab in enumerate(labels)}
+    edges = [(ix[f"c{i}"], ix[f"c{i + 1}"]) for i in range(n)]
+    for j, (start, back) in enumerate(((5, 3), (20, 22), (41, 44))):
+        prev = f"c{start}"
+        for k in range(4):
+            edges.append((ix[prev], ix[f"b{j}_{k}"]))
+            prev = f"b{j}_{k}"
+        edges.append((ix[prev], ix[f"c{back}"]))
+    edges.append((ix["c50"], ix["c30"]))
+    return Ars(labels, edges), predicate([ix["c0"]], [ix[f"c{n}"]])
+
+
+def _digest(pp) -> str:
+    t = pp.tree
+    text = repr((t.preds, sorted((v, r.value) for v, r in t.rules.items()),
+                 sorted(t.children.items()), sorted(pp.xi.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded from the prover before its per-node work was made linear; the
+# pre-proofs (nodes, rules, children, buds) must stay identical.
+GOLDEN_PROOFS = {
+    ("ring", "eager"): (262, "5e06118e79c21fb6b9d8f539876f97b387622cbb98446d1669b2927b3045909b"),
+    ("ring", "monolithic"): (50, "b15dd8db8aa747b7b26a798b08509b7c7267901258ba05e13d3f635d881dff87"),
+    ("chain", "eager"): (417, "212d4198032ca26ad4a52d4ad4c6968cad88b3ea40f0c23e7ebc577a02e858f9"),
+    ("chain", "monolithic"): (199, "2d2693dfc05c19a7c64a8c1d8b6823519418cf5185520f6cf82a7971fb3b3c4e"),
+}
+
+
+@pytest.mark.parametrize("goal, strategy", sorted(GOLDEN_PROOFS))
+def test_pre_proofs_match_golden_digest(goal, strategy):
+    ars, pred = {"ring": _ring_goal, "chain": _chain_goal}[goal]()
+    pp = prove(ars, pred, ProverConfig(strategy=SplitStrategy(strategy)))
+    assert (pp.tree.node_count, _digest(pp)) == GOLDEN_PROOFS[goal, strategy]
