@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 # Canonical state set: strictly increasing tuple of object ids.
 StateSet = tuple[int, ...]
@@ -38,7 +38,8 @@ def canon(members: Iterable[int]) -> StateSet:
 class Ars:
     """Immutable finite reduction system over an interned object table.
 
-    Objects are dense integer ids 0..n-1; each id carries a unique label.
+    Objects are dense integer ids 0..n-1; each id carries a unique label
+    matching `LABEL_RE`, so `render_ars` output always parses back.
     Successor lists are sorted and duplicate-free (relation semantics, not
     multigraph: parallel edges collapse).  `normal_forms` is the canonical
     set of objects with no outgoing edge.
@@ -50,8 +51,8 @@ class Ars:
         labels = tuple(labels)
         index: dict[str, int] = {}
         for i, lab in enumerate(labels):
-            if not lab:
-                raise ArsError("empty object label")
+            if not LABEL_RE.match(lab):
+                raise ArsError(f"bad object label {lab!r}")
             if lab in index:
                 raise ArsError(f"duplicate object label {lab!r}")
             index[lab] = i
@@ -67,23 +68,9 @@ class Ars:
         self.normal_forms: StateSet = tuple(i for i in range(n) if not self.succs[i])
         self._nf = frozenset(self.normal_forms)
 
-    @classmethod
-    def from_labeled_edges(cls, labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> "Ars":
-        index = {lab: i for i, lab in enumerate(labels)}
-        id_edges = []
-        for src, dst in edges:
-            for lab in (src, dst):
-                if lab not in index:
-                    raise UnknownObjectError(f"unknown object label {lab!r}")
-            id_edges.append((index[src], index[dst]))
-        return cls(labels, id_edges)
-
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def succ(self, i: int) -> StateSet:
-        return self.succs[i]
 
     def is_normal_form(self, i: int) -> bool:
         return i in self._nf
@@ -96,9 +83,6 @@ class Ars:
 
     def ids_of(self, labels: Iterable[str]) -> StateSet:
         return canon(self.id_of(lab) for lab in labels)
-
-    def labels_of(self, ids: Iterable[int]) -> list[str]:
-        return [self.labels[i] for i in self.check_members(ids)]
 
     def check_members(self, p: Iterable[int]) -> StateSet:
         """Canonicalize `p` and reject ids outside the object table."""
@@ -135,20 +119,79 @@ def is_runnable(ars: Ars, p: Iterable[int]) -> bool:
     return bool(p) and not any(s in ars._nf for s in p)
 
 
-def reachable(ars: Ars, p: Iterable[int]) -> StateSet:
-    """Reflexive-transitive closure of `p` under the transition relation."""
-    p = ars.check_members(p)
-    seen = set(p)
-    frontier = list(p)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in ars.succs[s]:
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return canon(seen)
+def bfs(ars: Ars, seeds: Iterable[int], avoid: Iterable[int] = ()) -> dict[int, int | None]:
+    """Breadth-first search from `seeds` along edges that never enter `avoid`.
+
+    Returns ``{state: parent}`` in discovery order: the seeds not in
+    `avoid` first, in the given order and with parent None, then every
+    state in order of its distance from them.  Successors are visited in
+    id order, so the tree, and every path read off it, is deterministic.
+    """
+    avoid = set(avoid)
+    parent: dict[int, int | None] = {s: None for s in seeds if s not in avoid}
+    order = list(parent)
+    for v in order:  # grows while it is walked: the FIFO queue
+        for w in ars.succs[v]:
+            if w not in parent and w not in avoid:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
+def bfs_path(parent: dict[int, int | None], v: int) -> tuple[int, ...]:
+    """The tree path from a seed of `parent` (a `bfs` result) to `v`."""
+    path = [v]
+    while (u := parent[path[-1]]) is not None:
+        path.append(u)
+    path.reverse()
+    return tuple(path)
+
+
+def region_succs(ars: Ars, region: Collection[int]) -> dict[int, list[int]]:
+    """Adjacency of the subgraph induced on `region`, in region order."""
+    inside = set(region)
+    return {v: [w for w in ars.succs[v] if w in inside] for v in region}
+
+
+def cyclic_sccs(succs: dict[int, Sequence[int]]) -> Iterator[list[int]]:
+    """Yield every strongly connected component of `succs` that contains a
+    cycle: more than one vertex, or a single vertex with a self-loop.
+
+    Iterative Tarjan.  `low` is the only per-vertex table: a vertex enters
+    it with its DFS index, and the vertices of a finished component are set
+    to `done`, above every index, so a low-link never takes a value through
+    them and no on-stack set is needed.  Every successor must be a key.
+    """
+    low: dict[int, int] = {}
+    done = len(succs)
+    stack: list[int] = []
+    for root in succs:
+        if root in low:
+            continue
+        low[root] = len(low)
+        work = [(root, low[root], len(stack), iter(succs[root]))]
+        stack.append(root)
+        while work:
+            v, index, base, it = work[-1]
+            for w in it:
+                if w not in low:
+                    low[w] = len(low)
+                    work.append((w, low[w], len(stack), iter(succs[w])))
+                    stack.append(w)
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == index:
+                    comp = stack[base:]
+                    del stack[base:]
+                    for w in comp:
+                        low[w] = done
+                    if len(comp) > 1 or v in succs[v]:
+                        yield comp
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
 
 
 def avoiding_region(ars: Ars, p: Iterable[int], q: Iterable[int]) -> StateSet:
@@ -158,19 +201,12 @@ def avoiding_region(ars: Ars, p: Iterable[int], q: Iterable[int]) -> StateSet:
     `q`, starting from the q-free part of `p`.  It underlies both the
     brute-force validity decisions and witness extraction.
     """
-    p = ars.check_members(p)
-    qs = set(ars.check_members(q))
-    seen = {s for s in p if s not in qs}
-    frontier = sorted(seen)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in ars.succs[s]:
-                if t not in seen and t not in qs:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return canon(seen)
+    return canon(bfs(ars, ars.check_members(p), ars.check_members(q)))
+
+
+def reachable(ars: Ars, p: Iterable[int]) -> StateSet:
+    """Reflexive-transitive closure of `p` under the transition relation."""
+    return avoiding_region(ars, p, ())
 
 
 @dataclass(frozen=True)
@@ -218,13 +254,8 @@ def parse_ars(text: str) -> Ars:
         if parts[0] == "states":
             if labels is not None:
                 raise ArsError(f"line {lineno}: duplicate states line")
-            for lab in parts[1:]:
-                if not LABEL_RE.match(lab):
-                    raise ArsError(f"line {lineno}: bad label {lab!r}")
             labels = tuple(parts[1:])
             index = {lab: i for i, lab in enumerate(labels)}
-            if len(index) != len(labels):
-                raise ArsError(f"line {lineno}: duplicate label in states line")
         elif parts[0] == "trans":
             if labels is None:
                 raise ArsError(f"line {lineno}: trans before states line")

@@ -4,8 +4,8 @@ Subcommands:
   check      decide partial or total validity of <source> => <target>
   safety     decide error non-reachability via the any-sink reduction
   liveness   decide total validity of <from> => <goal>
+  export     run a check query and write its proof graph (DOT) and rule trace
   expand     expand a model to the line-based system format
-  export     run a query and write its proof graph (DOT) and rule trace
 
 Exit status: 0 when the queried property holds, 1 when it fails (a witness
 is printed), 2 on usage or input errors.
@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .ars import Ars, ArsError, StateSet, parse_ars, render_ars
 from .modeling import (
@@ -92,16 +93,22 @@ def render_witness(ars: Ars, witness: Witness) -> str:
     return " -> ".join(head) + " -> (" + " -> ".join(tail) + ")*"
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_input(args) -> tuple[Ars, Expansion | None]:
     picked = [x for x in (args.ars, args.model, args.builtin) if x]
     if len(picked) != 1:
         raise UsageError("exactly one of --ars, --model, --builtin is required")
     if args.ars:
-        with open(args.ars, encoding="utf-8") as fh:
-            return parse_ars(fh.read()), None
+        return parse_ars(_read_text(args.ars)), None
     if args.model:
-        with open(args.model, encoding="utf-8") as fh:
-            model = parse_model(fh.read())
+        model = parse_model(_read_text(args.model))
     else:
         if args.builtin not in BUILTINS:
             raise UsageError(f"unknown builtin {args.builtin!r} (available: "
@@ -127,38 +134,47 @@ def _split_labels(text: str) -> list[str]:
     return [lab.strip() for lab in labels if lab.strip()]
 
 
-def _resolve_set(ars: Ars, expansion: Expansion | None, text: str, what: str) -> StateSet:
+def _resolve_set(ars: Ars, expansion: Expansion | None, text: str) -> StateSet:
     """Label list for plain systems, state-predicate expression for models."""
-    if text is None:
-        raise UsageError(f"missing {what} set")
     if expansion is not None:
         return eval_state_predicate(expansion, text)
     return ars.ids_of(_split_labels(text))
 
 
-def _run_query(ars: Ars, pred: AprPredicate, mode: str, engine: str,
-               strategy: str, max_nodes: int) -> tuple[bool, str, Witness | None, dict | None,
-                                                        Verdict | None]:
-    """Returns (holds, verdict name, witness, stats dict, prover verdict or None)."""
-    if engine == "oracle":
+_KINDS = {"partial": (VerdictKind.PARTIALLY_VALID, VerdictKind.NOT_PARTIALLY_VALID),
+          "total": (VerdictKind.TOTALLY_VALID, VerdictKind.NOT_TOTALLY_VALID)}
+
+
+def _run_query(args, command: str, ars: Ars, pred: AprPredicate, mode: str,
+               started: float) -> tuple[RunReport, Verdict | None]:
+    """Decide `pred` with the chosen engine; the report and, for the prover,
+    the verdict behind it."""
+    verd = None
+    stats = None
+    if args.engine == "oracle":
         answer = oracle_partial(ars, pred) if mode == "partial" else oracle_total(ars, pred)
-        if mode == "partial":
-            verdict = VerdictKind.PARTIALLY_VALID if answer.valid else VerdictKind.NOT_PARTIALLY_VALID
-        else:
-            verdict = VerdictKind.TOTALLY_VALID if answer.valid else VerdictKind.NOT_TOTALLY_VALID
-        return answer.valid, verdict.value, answer.witness, None, None
-    cfg = ProverConfig(strategy=SplitStrategy(strategy), node_budget=max_nodes)
-    verd = check_partial(ars, pred, cfg) if mode == "partial" else check_total(ars, pred, cfg)
-    stats = {
-        "nodes": verd.stats.nodes,
-        "buds": verd.stats.buds,
-        "rules": verd.stats.rule_counts,
-        "graph_vertices": len(verd.graph.vertices),
-        "graph_edges": len(verd.graph.edges),
-        "graph_acyclic": verd.acyclic,
-    }
-    holds = verd.kind in (VerdictKind.PARTIALLY_VALID, VerdictKind.TOTALLY_VALID)
-    return holds, verd.kind.value, verd.witness, stats, verd
+        holds, witness = answer.valid, answer.witness
+        kind = _KINDS[mode][not holds]
+    else:
+        cfg = ProverConfig(strategy=SplitStrategy(args.strategy), node_budget=args.max_nodes)
+        verd = check_partial(ars, pred, cfg) if mode == "partial" else check_total(ars, pred, cfg)
+        stats = {
+            "nodes": verd.stats.nodes,
+            "buds": verd.stats.buds,
+            "rules": verd.stats.rule_counts,
+            "graph_vertices": len(verd.graph.vertices),
+            "graph_edges": len(verd.graph.edges),
+            "graph_acyclic": verd.acyclic,
+        }
+        kind, witness = verd.kind, verd.witness
+        holds = kind is _KINDS[mode][0]
+    report = RunReport(
+        command=command, source=args.source, target=args.target, mode=mode,
+        engine=args.engine, strategy=args.strategy if args.engine == "prover" else None,
+        verdict=kind.value, holds=holds,
+        witness=None if witness is None else render_witness(ars, witness),
+        stats=stats, time_ms=int((time.perf_counter() - started) * 1000))
+    return report, verd
 
 
 def _emit_proof(ars: Ars, verd: Verdict | None, path: str) -> None:
@@ -192,80 +208,65 @@ def _emit_trace(ars: Ars, verd: Verdict | None, path: str) -> None:
             fh.write(f"{indent}{label} [{v}] {pred}\n")
 
 
-def _finish(args, report: RunReport, ars: Ars, verd: Verdict | None) -> int:
-    if getattr(args, "emit_proof", None):
+class QuerySpec(NamedTuple):
+    """How a query subcommand reads its sets and reports its verdict."""
+
+    help: str
+    source_flags: tuple[str, ...]
+    target_flags: tuple[str, ...]
+    mode: str | None = None                # None: --mode decides
+    banner: tuple[str, str] | None = None  # text line when it holds / fails
+
+
+QUERIES = {
+    "check": QuerySpec("decide partial or total validity",
+                       ("--source", "--from"), ("--target", "--goal")),
+    "safety": QuerySpec("decide error non-reachability", ("--from", "--source"), ("--error",),
+                        "partial", ("safe: no error state reachable",
+                                    "unsafe: error state reachable")),
+    "liveness": QuerySpec("decide that every path reaches the goal",
+                          ("--from", "--source"), ("--goal", "--target"),
+                          "total", ("live: goal reached on every path",
+                                    "not live: a path avoids the goal")),
+    # A check query that must write a proof artifact; reported as "check".
+    "export": QuerySpec("run a query and write proof artifacts",
+                        ("--source", "--from"), ("--target", "--goal")),
+}
+
+
+def cmd_query(args) -> int:
+    spec = QUERIES[args.cmd]
+    command = "check" if args.cmd == "export" else args.cmd
+    if args.cmd == "export" and not args.emit_proof and not args.emit_trace:
+        raise UsageError("export needs --emit-proof and/or --emit-trace")
+    started = time.perf_counter()
+    ars, expansion = _load_input(args)
+    source = _resolve_set(ars, expansion, args.source)
+    target = _resolve_set(ars, expansion, args.target)
+    if args.cmd == "safety":
+        ars, pred = build_safety_query(ars, source, target)
+    else:
+        pred = AprPredicate(source, target)
+    report, verd = _run_query(args, command, ars, pred, spec.mode or args.mode, started)
+    if spec.banner and not args.json:
+        print(spec.banner[not report.holds])
+    if args.emit_proof:
         _emit_proof(ars, verd, args.emit_proof)
-    if getattr(args, "emit_trace", None):
+    if args.emit_trace:
         _emit_trace(ars, verd, args.emit_trace)
     if args.json:
         print(report_to_json(report))
-    else:
-        print(f"verdict: {report.verdict}")
-        if report.witness is not None:
-            print(f"witness: {report.witness}")
-        if report.stats is not None:
-            s = report.stats
-            rules = " ".join(f"{r}={s['rules'][r]}" for r in ("Axiom", "Subs", "Der", "Dis"))
-            print(f"nodes: {s['nodes']} buds: {s['buds']} rules: {rules}")
-            shape = "acyclic" if s["graph_acyclic"] else "cyclic"
-            print(f"graph: {s['graph_vertices']} vertices, {s['graph_edges']} edges, {shape}")
-        print(f"time: {report.time_ms} ms")
+        return 0 if report.holds else 1
+    print(f"verdict: {report.verdict}")
+    if report.witness is not None:
+        print(f"witness: {report.witness}")
+    if stats := report.stats:
+        rules = " ".join(f"{r}={stats['rules'][r]}" for r in ("Axiom", "Subs", "Der", "Dis"))
+        print(f"nodes: {stats['nodes']} buds: {stats['buds']} rules: {rules}")
+        shape = "acyclic" if stats["graph_acyclic"] else "cyclic"
+        print(f"graph: {stats['graph_vertices']} vertices, {stats['graph_edges']} edges, {shape}")
+    print(f"time: {report.time_ms} ms")
     return 0 if report.holds else 1
-
-
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    ars, expansion = _load_input(args)
-    source = _resolve_set(ars, expansion, args.source, "source")
-    target = _resolve_set(ars, expansion, args.target, "target")
-    pred = AprPredicate(source, target)
-    holds, verdict, witness, stats, verd = _run_query(
-        ars, pred, args.mode, args.engine, args.strategy, args.max_nodes)
-    report = RunReport(
-        command="check", source=args.source, target=args.target, mode=args.mode,
-        engine=args.engine, strategy=args.strategy if args.engine == "prover" else None,
-        verdict=verdict, holds=holds,
-        witness=None if witness is None else render_witness(ars, witness),
-        stats=stats, time_ms=int((time.perf_counter() - started) * 1000))
-    return _finish(args, report, ars, verd)
-
-
-def cmd_safety(args) -> int:
-    started = time.perf_counter()
-    ars, expansion = _load_input(args)
-    source = _resolve_set(ars, expansion, args.source, "from")
-    errors = _resolve_set(ars, expansion, args.error, "error")
-    query_ars, pred = build_safety_query(ars, source, errors)
-    holds, verdict, witness, stats, verd = _run_query(
-        query_ars, pred, "partial", args.engine, args.strategy, args.max_nodes)
-    report = RunReport(
-        command="safety", source=args.source, target=args.error, mode="partial",
-        engine=args.engine, strategy=args.strategy if args.engine == "prover" else None,
-        verdict=verdict, holds=holds,
-        witness=None if witness is None else render_witness(query_ars, witness),
-        stats=stats, time_ms=int((time.perf_counter() - started) * 1000))
-    if not args.json:
-        print("safe: no error state reachable" if holds else "unsafe: error state reachable")
-    return _finish(args, report, query_ars, verd)
-
-
-def cmd_liveness(args) -> int:
-    started = time.perf_counter()
-    ars, expansion = _load_input(args)
-    source = _resolve_set(ars, expansion, args.source, "from")
-    goal = _resolve_set(ars, expansion, args.goal, "goal")
-    pred = AprPredicate(source, goal)
-    holds, verdict, witness, stats, verd = _run_query(
-        ars, pred, "total", args.engine, args.strategy, args.max_nodes)
-    report = RunReport(
-        command="liveness", source=args.source, target=args.goal, mode="total",
-        engine=args.engine, strategy=args.strategy if args.engine == "prover" else None,
-        verdict=verdict, holds=holds,
-        witness=None if witness is None else render_witness(ars, witness),
-        stats=stats, time_ms=int((time.perf_counter() - started) * 1000))
-    if not args.json:
-        print("live: goal reached on every path" if holds else "not live: a path avoids the goal")
-    return _finish(args, report, ars, verd)
 
 
 def cmd_expand(args) -> int:
@@ -284,30 +285,22 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    if not args.emit_proof and not args.emit_trace:
-        raise UsageError("export needs --emit-proof and/or --emit-trace")
-    return cmd_check(args)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _add_input_flags(sp) -> None:
     sp.add_argument("--ars", help="system file in the line-based states/trans format")
     sp.add_argument("--model", help="model file in the guarded-transition DSL")
     sp.add_argument("--builtin", help="built-in model name (peterson)")
-    sp.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP,
+    sp.add_argument("--max-states", type=_positive_int, default=DEFAULT_STATE_CAP,
                     help="cap on the expanded state-space size")
-
-
-def _add_query_flags(sp, with_mode: bool) -> None:
-    if with_mode:
-        sp.add_argument("--mode", choices=["partial", "total"], default="partial")
-    sp.add_argument("--engine", choices=["prover", "oracle"], default="prover")
-    sp.add_argument("--strategy", choices=["eager", "monolithic"], default="eager")
-    sp.add_argument("--emit-proof", metavar="PATH", help="write the proof graph as DOT")
-    sp.add_argument("--emit-trace", metavar="PATH", help="write the pre-proof as an indented trace")
-    sp.add_argument("--json", action="store_true", help="print a JSON report")
-    sp.add_argument("--max-nodes", type=int, default=1_000_000,
-                    help="cap on proof-search nodes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,39 +309,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="All-path reachability verifier: cyclic proofs, safety and liveness checks.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("check", help="decide partial or total validity")
-    _add_input_flags(sp)
-    sp.add_argument("--source", "--from", dest="source", required=True,
-                    help="comma-joined labels, or a state predicate for models")
-    sp.add_argument("--target", "--goal", dest="target", required=True)
-    _add_query_flags(sp, with_mode=True)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("safety", help="decide error non-reachability")
-    _add_input_flags(sp)
-    sp.add_argument("--from", "--source", dest="source", required=True)
-    sp.add_argument("--error", required=True)
-    _add_query_flags(sp, with_mode=False)
-    sp.set_defaults(func=cmd_safety)
-
-    sp = sub.add_parser("liveness", help="decide that every path reaches the goal")
-    _add_input_flags(sp)
-    sp.add_argument("--from", "--source", dest="source", required=True)
-    sp.add_argument("--goal", "--target", dest="goal", required=True)
-    _add_query_flags(sp, with_mode=False)
-    sp.set_defaults(func=cmd_liveness)
+    for name, spec in QUERIES.items():
+        sp = sub.add_parser(name, help=spec.help)
+        _add_input_flags(sp)
+        sp.add_argument(*spec.source_flags, dest="source", required=True,
+                        help="comma-joined labels, or a state predicate for models")
+        sp.add_argument(*spec.target_flags, dest="target", required=True,
+                        metavar=spec.target_flags[0][2:].upper())
+        if spec.mode is None:
+            sp.add_argument("--mode", choices=["partial", "total"], default="partial")
+        sp.add_argument("--engine", choices=["prover", "oracle"], default="prover")
+        sp.add_argument("--strategy", choices=["eager", "monolithic"], default="eager")
+        sp.add_argument("--emit-proof", metavar="PATH", help="write the proof graph as DOT")
+        sp.add_argument("--emit-trace", metavar="PATH",
+                        help="write the pre-proof as an indented trace")
+        sp.add_argument("--json", action="store_true", help="print a JSON report")
+        sp.add_argument("--max-nodes", type=_positive_int, default=1_000_000,
+                        help="cap on proof-search nodes")
+        sp.set_defaults(func=cmd_query)
 
     sp = sub.add_parser("expand", help="expand a model to the system format")
     _add_input_flags(sp)
     sp.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("export", help="run a query and write proof artifacts")
-    _add_input_flags(sp)
-    sp.add_argument("--source", "--from", dest="source", required=True)
-    sp.add_argument("--target", "--goal", dest="target", required=True)
-    _add_query_flags(sp, with_mode=True)
-    sp.set_defaults(func=cmd_export)
 
     return ap
 
@@ -361,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (ArsError, ModelError, UsageError, NodeBudgetExceeded, OSError, ValueError) as exc:
+    except (ArsError, ModelError, UsageError, NodeBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -316,8 +316,12 @@ def _parse_int_lit(ts: _TokenStream) -> int:
     tok = ts.peek()
     if tok.kind != "int":
         raise ts.error(f"expected an integer, got {tok.text!r}")
+    try:
+        value = int(tok.text)
+    except ValueError:  # more digits than Python converts
+        raise ts.error(f"integer literal of {len(tok.text)} digits is too long") from None
     ts.next()
-    return sign * int(tok.text)
+    return sign * value
 
 
 def _parse_value(ts: _TokenStream, decl: VarDecl) -> Value:
@@ -538,9 +542,6 @@ class Expansion:
     ars: Ars
     states: tuple[ModelState, ...]
     initial: StateSet
-
-    def state_id(self, state: ModelState) -> int:
-        return self.ars.id_of(render_state(state))
 
 
 DEFAULT_STATE_CAP = 1_000_000

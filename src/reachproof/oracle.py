@@ -16,10 +16,9 @@ engine is differentially tested against, never the default engine.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .ars import Ars, ExecutionPath, avoiding_region
+from .ars import Ars, ExecutionPath, bfs, bfs_path, cyclic_sccs, region_succs
 from .proofs import AprPredicate
 from .prover import FinitePath, Witness, extract_lasso
 
@@ -36,78 +35,32 @@ class OracleAnswer:
             raise ValueError("invalid answers need a witness")
 
 
-def _shortest_stuck_path(ars: Ars, pred: AprPredicate) -> ExecutionPath:
-    """Shortest target-free run from the source into a normal form (BFS)."""
-    q = set(pred.target)
-    region = set(avoiding_region(ars, pred.source, pred.target))
-    seeds = [s for s in pred.source if s not in q]
-    parent: dict[int, int | None] = {s: None for s in seeds}
-    queue = deque(seeds)
-    nf = set(ars.normal_forms)
-    goal = None
-    for s in seeds:
-        if s in nf:
-            goal = s
-            break
-    while queue and goal is None:
-        v = queue.popleft()
-        for w in ars.succs[v]:
-            if w in region and w not in parent:
-                parent[w] = v
-                if w in nf:
-                    goal = w
-                    queue.clear()
-                    break
-                queue.append(w)
-    assert goal is not None, "no stuck state in the avoiding region"
-    steps = [goal]
-    while parent[steps[-1]] is not None:
-        steps.append(parent[steps[-1]])  # type: ignore[arg-type]
-    steps.reverse()
-    return ExecutionPath(tuple(steps), is_maximal=True)
+def _region_tree(ars: Ars, pred: AprPredicate) -> dict[int, int | None]:
+    """Breadth-first tree of the avoiding region."""
+    return bfs(ars, ars.check_members(pred.source), ars.check_members(pred.target))
 
 
-def _region_has_cycle(ars: Ars, region: tuple[int, ...]) -> bool:
-    rset = set(region)
-    succs = {v: [w for w in ars.succs[v] if w in rset] for v in region}
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in region}
-    for start in region:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            v, i = stack[-1]
-            if i < len(succs[v]):
-                stack[-1] = (v, i + 1)
-                w = succs[v][i]
-                if color[w] == GRAY:
-                    return True
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, 0))
-            else:
-                color[v] = BLACK
-                stack.pop()
-    return False
+def _stuck_path(ars: Ars, tree: dict[int, int | None]) -> FinitePath | None:
+    """Shortest target-free run into a normal form: the tree path to the
+    first normal form the search discovered."""
+    stuck = next((v for v in tree if v in ars._nf), None)
+    if stuck is None:
+        return None
+    return FinitePath(ExecutionPath(bfs_path(tree, stuck), is_maximal=True))
 
 
 def oracle_partial(ars: Ars, pred: AprPredicate) -> OracleAnswer:
     """Exact decision of partial validity by region analysis."""
-    region = avoiding_region(ars, pred.source, pred.target)
-    nf = set(ars.normal_forms)
-    if not any(v in nf for v in region):
-        return OracleAnswer(True)
-    return OracleAnswer(False, FinitePath(_shortest_stuck_path(ars, pred)))
+    path = _stuck_path(ars, _region_tree(ars, pred))
+    return OracleAnswer(path is None, path)
 
 
 def oracle_total(ars: Ars, pred: AprPredicate) -> OracleAnswer:
     """Exact decision of total validity by region analysis."""
-    region = avoiding_region(ars, pred.source, pred.target)
-    nf = set(ars.normal_forms)
-    if any(v in nf for v in region):
-        return OracleAnswer(False, FinitePath(_shortest_stuck_path(ars, pred)))
-    if _region_has_cycle(ars, region):
+    tree = _region_tree(ars, pred)
+    path = _stuck_path(ars, tree)
+    if path is not None:
+        return OracleAnswer(False, path)
+    if next(cyclic_sccs(region_succs(ars, tree)), None) is not None:
         return OracleAnswer(False, extract_lasso(ars, pred))
     return OracleAnswer(True)

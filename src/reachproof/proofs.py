@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Container, Iterable, Iterator
 
-from .ars import Ars, ArsError, StateSet, canon, derivative, is_runnable
+from .ars import Ars, ArsError, StateSet, canon, cyclic_sccs, derivative, is_runnable
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,6 @@ class DerivationTree:
     @property
     def node_count(self) -> int:
         return len(self.preds)
-
-    def is_leaf(self, v: int) -> bool:
-        return not self.children.get(v)
 
     def is_open_leaf(self, v: int) -> bool:
         return v not in self.children and not self.preds[v].is_bottom
@@ -406,9 +403,6 @@ class ProofGraph:
     rules: dict[int, RuleName]
     edges: tuple[tuple[int, int], ...]
 
-    def successors(self, v: int) -> list[int]:
-        return [b for a, b in self.edges if a == v]
-
 
 def proof_graph(pp: PreProof) -> ProofGraph:
     """Build the proof graph of a closed pre-proof (deterministic order)."""
@@ -436,27 +430,7 @@ def is_acyclic(g: ProofGraph) -> bool:
     succs: dict[int, list[int]] = {v: [] for v in g.vertices}
     for a, b in g.edges:
         succs[a].append(b)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in g.vertices}
-    for start in g.vertices:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            v, i = stack[-1]
-            if i < len(succs[v]):
-                stack[-1] = (v, i + 1)
-                w = succs[v][i]
-                if color[w] == GRAY:
-                    return False
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, 0))
-            else:
-                color[v] = BLACK
-                stack.pop()
-    return True
+    return next(cyclic_sccs(succs), None) is None
 
 
 def graph_violations(ars: Ars, g: ProofGraph) -> list[str]:

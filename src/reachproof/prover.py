@@ -13,7 +13,6 @@ dug out of the target-avoiding region.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -21,8 +20,11 @@ from .ars import (
     Ars,
     ExecutionPath,
     StateSet,
-    avoiding_region,
+    bfs,
+    bfs_path,
+    cyclic_sccs,
     execution_path_violations,
+    region_succs,
 )
 from .proofs import (
     AprPredicate,
@@ -126,10 +128,9 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
     xi: dict[int, int] = {}
     companions: dict[AprPredicate, int] = {}
     fold_sources: set[StateSet] = set()
-    queue: deque[int] = deque([0])
+    queue = [0]
 
-    while queue:
-        v = queue.popleft()
+    for v in queue:  # grows while it is walked: a FIFO queue of open goals
         pv = preds[v]
         comp = companions.get(pv)
         if comp is not None:
@@ -227,55 +228,6 @@ def extract_finite_counterexample(ars: Ars, disproof: PreProof) -> ExecutionPath
     return ExecutionPath(tuple(steps), is_maximal=True)
 
 
-def _cyclic_vertices(succs: dict[int, list[int]]) -> set[int]:
-    """Vertices on some directed cycle (SCC of size > 1, or a self-loop)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    scc_stack: list[int] = []
-    counter = 0
-    cyclic: set[int] = set()
-    for root in sorted(succs):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                scc_stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while i < len(succs[v]):
-                w = succs[v][i]
-                i += 1
-                if w not in index:
-                    work[-1] = (v, i)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = scc_stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or v in succs[v]:
-                    cyclic.update(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return cyclic
-
-
 def extract_lasso(ars: Ars, pred: AprPredicate) -> Lasso:
     """Find a target-free infinite run, as a lasso, in the avoiding region.
 
@@ -283,63 +235,23 @@ def extract_lasso(ars: Ars, pred: AprPredicate) -> Lasso:
     shortest stem (ties broken by smallest id), and both stem and cycle are
     shortest by breadth-first search.
     """
-    p = ars.check_members(pred.source)
-    q = set(ars.check_members(pred.target))
-    region = avoiding_region(ars, p, q)
-    rset = set(region)
-    succs = {v: [w for w in ars.succs[v] if w in rset] for v in region}
-    cyclic = _cyclic_vertices(succs)
+    target = ars.check_members(pred.target)
+    tree = bfs(ars, ars.check_members(pred.source), target)
+    succs = region_succs(ars, tree)
+    depth: dict[int, int] = {}
+    for v, u in tree.items():  # parents are discovered before children
+        depth[v] = 0 if u is None else depth[u] + 1
+    cyclic = [v for comp in cyclic_sccs(succs) for v in comp]
     if not cyclic:
         raise ValueError("no cycle in the avoiding region")
-
-    seeds = [s for s in p if s in rset]
-    dist = {s: 0 for s in seeds}
-    parent: dict[int, int] = {}
-    queue = deque(seeds)
-    while queue:
-        v = queue.popleft()
-        for w in succs[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-    entry = min(cyclic, key=lambda v: (dist[v], v))
-
-    stem = []
-    v = entry
-    while v in parent:
-        v = parent[v]
-        stem.append(v)
-    stem.reverse()
-
+    entry = min(cyclic, key=lambda v: (depth[v], v))
+    stem = bfs_path(tree, entry)[:-1]
+    if entry in succs[entry]:
+        return Lasso(stem, (entry,))
     # Shortest cycle through the entry vertex, inside the region.
-    cdist = {}
-    cparent = {}
-    queue = deque()
-    for w in succs[entry]:
-        if w not in cdist:
-            cdist[w] = 1
-            cparent[w] = entry
-            queue.append(w)
-    if entry in cdist:  # self-loop
-        return Lasso(tuple(stem), (entry,))
-    closer = None
-    while queue and closer is None:
-        v = queue.popleft()
-        if entry in succs[v]:
-            closer = v
-            break
-        for w in succs[v]:
-            if w not in cdist:
-                cdist[w] = cdist[v] + 1
-                cparent[w] = v
-                queue.append(w)
-    assert closer is not None, "cycle vertex lost its cycle"
-    back = [closer]
-    while back[-1] != entry:
-        back.append(cparent[back[-1]])
-    back.reverse()  # entry, ..., closer
-    return Lasso(tuple(stem), tuple(back))
+    ring = bfs(ars, succs[entry], target)
+    closer = next(v for v in ring if entry in succs[v])
+    return Lasso(stem, (entry,) + bfs_path(ring, closer))
 
 
 def witness_violations(ars: Ars, pred: AprPredicate, witness: Witness) -> list[str]:

@@ -15,7 +15,14 @@ from reachproof import (
     reachable,
     render_ars,
 )
-from reachproof.ars import execution_path_violations
+from reachproof.ars import (
+    LABEL_RE,
+    bfs,
+    bfs_path,
+    cyclic_sccs,
+    execution_path_violations,
+    region_succs,
+)
 
 from conftest import A1_TEXT
 
@@ -72,6 +79,21 @@ class TestConstruction:
     def test_edge_outside_table_rejected(self):
         with pytest.raises(UnknownObjectError):
             Ars(["x"], [(0, 1)])
+
+    @pytest.mark.parametrize("labels", [["a b", "c#d"], ["x", ""], ["x", "c#d"], ["x\n"]])
+    def test_unserialisable_label_rejected(self, labels):
+        with pytest.raises(ArsError, match="bad object label"):
+            Ars(labels, [(0, 0)])
+
+
+@given(st.lists(st.text(st.sampled_from("ab_<>,.- #\t\n?"), max_size=4), max_size=5))
+def test_labels_round_trip_or_fail_at_construction(labels):
+    try:
+        ars = Ars(labels, [(i, (i + 1) % len(labels)) for i in range(len(labels))])
+    except ArsError:
+        assert any(not LABEL_RE.match(lab) for lab in labels) or len(set(labels)) < len(labels)
+        return
+    assert parse_ars(render_ars(ars)) == ars
 
 
 class TestDerivative:
@@ -153,6 +175,42 @@ def test_avoiding_region_vs_path_enumeration(data):
     base = canon(set(p) - set(q))
     if not set(reachable(ars, base)) & set(q):
         assert region == reachable(ars, base)
+
+
+def _cycle_vertices_by_brute_force(ars):
+    """v lies on a cycle iff v is reachable from one of its successors."""
+    return {v for v in range(ars.n) if v in reachable(ars, ars.succs[v])}
+
+
+@given(ars_and_sets(max_states=12))
+def test_cyclic_sccs_are_exactly_the_cycle_vertices(data):
+    ars, region, _ = data
+    comps = list(cyclic_sccs({v: ars.succs[v] for v in range(ars.n)}))
+    flat = [v for comp in comps for v in comp]
+    assert len(flat) == len(set(flat))
+    assert set(flat) == _cycle_vertices_by_brute_force(ars)
+    # On an induced subgraph: cycles that stay inside the region.
+    sub = Ars(ars.labels, [(v, w) for v in region for w in ars.succs[v] if w in region])
+    in_region = {v for comp in cyclic_sccs(region_succs(ars, region)) for v in comp}
+    assert in_region == _cycle_vertices_by_brute_force(sub)
+
+
+@given(ars_and_sets(max_states=12))
+def test_bfs_depths_are_derivative_layers(data):
+    ars, seeds, avoid = data
+    parent = bfs(ars, seeds, avoid)
+    layers, seen = [], set()
+    layer = canon(set(seeds) - set(avoid))
+    while layer:
+        layers.append(layer)
+        seen.update(layer)
+        layer = canon(set(derivative(ars, layer)) - set(avoid) - seen)
+    depth = {v: k for k, layer in enumerate(layers) for v in layer}
+    assert {v: len(bfs_path(parent, v)) - 1 for v in parent} == depth
+    assert [depth[v] for v in parent] == sorted(depth.values())  # discovery order
+    for v in parent:
+        path = bfs_path(parent, v)
+        assert path[0] in seeds and all(b in ars.succs[a] for a, b in zip(path, path[1:]))
 
 
 class TestTextFormat:

@@ -1,7 +1,11 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from reachproof import cli
 from reachproof.cli import main, report_from_json, report_to_json
 
 from conftest import A1_TEXT
@@ -64,6 +68,38 @@ class TestCheck:
     def test_bad_flag_combination(self, capsys):
         code, _, _ = run(capsys, "check", "--mode", "sideways")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--max-states"])
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_caps_must_be_positive(self, capsys, a1_file, flag, value):
+        code, _, err = run(capsys, "check", "--ars", a1_file, flag, value,
+                           "--source", "a", "--target", "c,d")
+        assert code == 2
+        assert "expected a positive integer" in err
+
+    @pytest.mark.parametrize("flag", ["--ars", "--model"])
+    def test_non_utf8_input_is_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("states a b\ntrans a b  # \xe9\n".encode("latin-1"))
+        code, out, err = run(capsys, "check", flag, str(path), "--source", "a", "--target", "b")
+        assert (code, out) == (2, "")
+        assert "not UTF-8 text" in err
+
+    def test_internal_value_error_is_not_hidden(self, monkeypatch, a1_file):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+        monkeypatch.setattr(cli, "check_partial", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["check", "--ars", a1_file, "--source", "a", "--target", "c,d"])
+
+    def test_over_long_integer_literal_is_model_error(self, capsys, tmp_path):
+        path = tmp_path / "big.model"
+        path.write_text(f"var x: int[0..{'9' * 5000}] = 0\n"
+                        "process P {\n  loc a init\n  edge a -> a\n}\n")
+        code, _, err = run(capsys, "check", "--model", str(path),
+                           "--source", "x=0", "--target", "x=1")
+        assert code == 2
+        assert "too long" in err
 
     def test_node_budget_exhaustion_is_an_error(self, capsys, a1_file):
         code, _, err = run(capsys, "check", "--ars", a1_file, "--max-nodes", "2",
@@ -245,3 +281,101 @@ class TestExpandExport:
                          "--source", "a", "--target", "c,d",
                          "--emit-proof", str(tmp_path / "no" / "dir" / "x.dot"))
         assert code == 2
+
+
+PETERSON_FROM = "loc(P0)=noncrit0 && loc(P1)=noncrit1 && b0=false && b1=false"
+# (name, argv) of every query subcommand, in text and --json form; "{a1}"
+# stands for the path of the worked four-object system.
+GOLDEN_QUERIES = [
+    ("check-partial", ["check", "--ars", "{a1}", "--source", "a", "--target", "c,d"]),
+    ("check-total", ["check", "--ars", "{a1}", "--source", "a", "--target", "c,d",
+                     "--mode", "total"]),
+    ("check-disproof", ["check", "--ars", "{a1}", "--source", "a", "--target", "c",
+                        "--strategy", "monolithic"]),
+    ("check-oracle", ["check", "--ars", "{a1}", "--source", "a,b", "--target", "c,d",
+                      "--mode", "total", "--engine", "oracle"]),
+    ("safety-unsafe", ["safety", "--ars", "{a1}", "--from", "a", "--error", "d"]),
+    ("safety-safe", ["safety", "--ars", "{a1}", "--source", "c", "--error", "d"]),
+    ("safety-oracle", ["safety", "--ars", "{a1}", "--from", "a", "--error", "d",
+                       "--engine", "oracle"]),
+    ("safety-peterson", ["safety", "--builtin", "peterson", "--from", PETERSON_FROM,
+                         "--error", "loc(P0)=crit0 && loc(P1)=crit1"]),
+    ("liveness-lasso", ["liveness", "--ars", "{a1}", "--from", "a", "--goal", "c,d"]),
+    ("liveness-path", ["liveness", "--ars", "{a1}", "--from", "a", "--target", "c",
+                       "--strategy", "monolithic"]),
+    ("liveness-live", ["liveness", "--ars", "{a1}", "--from", "b", "--goal", "a,c"]),
+    ("liveness-oracle", ["liveness", "--ars", "{a1}", "--from", "a", "--goal", "c,d",
+                         "--engine", "oracle"]),
+    ("liveness-peterson", ["liveness", "--builtin", "peterson",
+                           "--from", "loc(P0)=wait0 && b0=true", "--goal", "loc(P0)=crit0"]),
+    ("export", ["export", "--ars", "{a1}", "--source", "a", "--target", "c,d",
+                "--mode", "total", "--emit-proof", "{dot}", "--emit-trace", "{trace}"]),
+]
+
+
+def _query_paths(tmp_path, a1_file) -> dict[str, str]:
+    return {"a1": a1_file, "dot": str(tmp_path / "q.dot"), "trace": str(tmp_path / "q.trace")}
+
+
+def _query_output(capsys, tmp_path, a1_file, argv) -> str:
+    """Exit code, stdout with the time masked, and any DOT/trace written."""
+    paths = _query_paths(tmp_path, a1_file)
+    code, out, _ = run(capsys, *(arg.format(**paths) for arg in argv))
+    out = re.sub(r"^time: \d+ ms$", "time: - ms", out, flags=re.M)
+    out = re.sub(r'"time_ms": \d+', '"time_ms": -', out)
+    artifacts = [Path(paths[k]).read_text() for k in ("dot", "trace") if "{%s}" % k in argv]
+    return "\n".join([str(code), out, *artifacts])
+
+
+# Recorded from the CLI when each query subcommand still had its own
+# command function; text, JSON, DOT and trace must stay identical.
+GOLDEN_QUERY_DIGESTS = {
+    ('check-partial', 'text'): "fecd627c6d72b69c8a1ae26bb45f16dc54e0e605aa2e4f98106c130a71910ce9",
+    ('check-partial', 'json'): "1181053b48470442d6098fbe144fb3784ebd5a894b65e85df5ecbadda3ff0f2d",
+    ('check-total', 'text'): "f4796dcab5f917fcf8936b30e0f01e8614aa79d6e65294ee1cfd4840c69ead76",
+    ('check-total', 'json'): "ef08eb1774e78c4a785f6342ac3b524aa665fe831a3af0084603554ee52a360e",
+    ('check-disproof', 'text'): "23ae024e9ab0f26b8df3df99e8114adb9b3e63650c444833e2f62b06565381ff",
+    ('check-disproof', 'json'): "2225e3feea88f1140a3f7bce20b22db9a51180e9574d734912826ef18d31e64c",
+    ('check-oracle', 'text'): "326d0c04e79f2c6aea2474a58f931b661cc5ed2b41304996fdb82a4227ba5dc7",
+    ('check-oracle', 'json'): "f842a9a36bfdaca10de7eaf4808a3c86cbf4ae14b26bcf84ba8afca43cccdea1",
+    ('safety-unsafe', 'text'): "aafcd1292db67cc2447bf0df029b78d0546dfcff1ed4c284da97cb24b97e161d",
+    ('safety-unsafe', 'json'): "ae38621e72fd0a85ae19349079cc69d14e004866a742199b927c4c2907e22fac",
+    ('safety-safe', 'text'): "fa11c69188d9151eea7d401a455954965256646ddb746772f55ce0391f9bb74f",
+    ('safety-safe', 'json'): "a86bf2f6e085c0657099881e8c696c2e258a024051bd55bf91ac96bf21e260ec",
+    ('safety-oracle', 'text'): "445d9c1c07332c1d108b508b2a19da5cc15a9a26c8ad38026be38d97caa61de6",
+    ('safety-oracle', 'json'): "2580ff095e7c6132ba31738874e594eafb5b79374baad56043e354701766a7c4",
+    ('safety-peterson', 'text'): "cf02646fd20e9f1df57aa092a7dc091d9d9553f9a0c3aaed0997d7c815aee35c",
+    ('safety-peterson', 'json'): "2f4b599261dc232b2ed1b951135c7374e812a98984519c2307e394f28aa2f77c",
+    ('liveness-lasso', 'text'): "941d8035dd4e720a0b866c5f0cc22060b680c47375f10004e94861a39ad0db2d",
+    ('liveness-lasso', 'json'): "ef917f0422e7902afddb839818a3bd3d6c581d97d67e07c20c8cac61d6b5fa2a",
+    ('liveness-path', 'text'): "c4b94cedb4592cf5e6472b4df0c6211e6c887e0b6a642a978d0dd1bc4743dfb9",
+    ('liveness-path', 'json'): "2e9e8e5aca209993e0ffcd2fefe07b2729c1928cb7734caf2effbccad7a45cea",
+    ('liveness-live', 'text'): "191007666b48364bb03e384c81601738eb5f6123a811b1663ba8cf0416d04423",
+    ('liveness-live', 'json'): "c64332d1fe4c71a7f878788d3572bdfbdf6b761d248c6852ded932280ad76a98",
+    ('liveness-oracle', 'text'): "e716b843b45faf026eb197fa3fa78395a9aea23348b4845d9c785cfb7134a4eb",
+    ('liveness-oracle', 'json'): "78a376cfc4feedc5473d059250da49573d19b0a2d1fc1d5c132b64cba7c88680",
+    ('liveness-peterson', 'text'): "d7913545d1d0a4cccf085de3fabd9b759b3ba935e242ffc6b3a2e3bd93d07a8a",
+    ('liveness-peterson', 'json'): "bfbf327120522f241de79385ca6d65d314cfe6e00f6a971fb56cabfc4b8f2b9c",
+    ('export', 'text'): "0dca5516b9478217a4dafa492409b3c3fb062c82179421c3e0ebc0a713a5c045",
+    ('export', 'json'): "8626cc22ef0880e78b78ca8df7795e74f2687ec01f3a17fa080337d163755730",
+}
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_QUERIES)
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_query_output_matches_golden_digest(capsys, tmp_path, a1_file, name, argv, form):
+    output = _query_output(capsys, tmp_path, a1_file, argv + ["--json"] * (form == "json"))
+    digest = hashlib.sha256(output.encode()).hexdigest()
+    assert digest == GOLDEN_QUERY_DIGESTS[name, form]
+
+
+def test_query_banners_and_command_field(capsys, tmp_path, a1_file):
+    argv = dict(GOLDEN_QUERIES)
+    assert _query_output(capsys, tmp_path, a1_file, argv["liveness-lasso"]) == (
+        "1\nnot live: a path avoids the goal\nverdict: NotTotallyValid\n"
+        "witness: a -> (b -> a)*\nnodes: 6 buds: 1 rules: Axiom=1 Subs=2 Der=2 Dis=0\n"
+        "graph: 5 vertices, 5 edges, cyclic\ntime: - ms\n")
+    for name, command in (("export", "check"), ("safety-safe", "safety")):
+        paths = _query_paths(tmp_path, a1_file)
+        _, out, _ = run(capsys, *(arg.format(**paths) for arg in argv[name]), "--json")
+        assert json.loads(out)["command"] == command

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from reachproof import (
     UnknownObjectError,
     DerivationTree,
     PreProof,
+    ProverConfig,
     RuleName,
     SplitStrategy,
     applicable_rule,
@@ -23,6 +26,7 @@ from reachproof import (
 )
 from reachproof.proofs import applicable_rules, format_predicate, graph_violations
 
+from conftest import random_ars, random_subset
 from test_ars import ars_and_sets
 
 
@@ -308,3 +312,33 @@ digraph proof {
 
     def test_format_predicate(self, a1):
         assert format_predicate(a1, predicate((0,), (2, 3))) == "{a} => {c,d}"
+
+
+def _reach(succs, starts) -> set:
+    out, todo = set(), list(starts)
+    while todo:
+        v = todo.pop()
+        if v not in out:
+            out.add(v)
+            todo.extend(succs[v])
+    return out
+
+
+def test_is_acyclic_agrees_with_brute_force_on_the_fuzz_corpus():
+    """The random corpus of the prover's oracle-agreement test, both
+    strategies: a proof graph is acyclic iff no vertex is reachable from one
+    of its own successors."""
+    rng = random.Random(8261)
+    seen = set()
+    for _ in range(150):
+        ars = random_ars(rng)
+        pred = predicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
+        for strategy in SplitStrategy:
+            g = proof_graph(prove(ars, pred, ProverConfig(strategy=strategy)))
+            succs = {v: [] for v in g.vertices}
+            for a, b in g.edges:
+                succs[a].append(b)
+            cyclic = any(v in _reach(succs, succs[v]) for v in g.vertices)
+            assert is_acyclic(g) == (not cyclic)
+            seen.add(cyclic)
+    assert seen == {True, False}

@@ -291,3 +291,40 @@ def test_pre_proofs_match_golden_digest(goal, strategy):
     ars, pred = {"ring": _ring_goal, "chain": _chain_goal}[goal]()
     pp = prove(ars, pred, ProverConfig(strategy=SplitStrategy(strategy)))
     assert (pp.tree.node_count, _digest(pp)) == GOLDEN_PROOFS[goal, strategy]
+
+
+def _witness_digest(seed: int, count: int) -> tuple[dict[str, int], str]:
+    """Every witness the oracle, both checks under both strategies, and
+    `extract_lasso` give over a seeded corpus of random systems, hashed;
+    plus how many of each kind the corpus produced."""
+    rng = random.Random(seed)
+    kinds = {"FinitePath": 0, "Lasso": 0, "valid": 0, "no cycle": 0}
+    lines = []
+    for _ in range(count):
+        ars = random_ars(rng, max_states=12)
+        pred = AprPredicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
+        answers = [oracle_partial(ars, pred), oracle_total(ars, pred)]
+        lines.extend(repr(a) for a in answers)
+        for cfg in (EAGER, MONO):
+            for check in (check_partial, check_total):
+                v = check(ars, pred, cfg)
+                lines.append(f"{v.kind} {v.witness!r} {v.acyclic}")
+                kinds[type(v.witness).__name__ if v.witness else "valid"] += 1
+        try:
+            lines.append(repr(extract_lasso(ars, pred)))
+        except ValueError as exc:
+            lines.append(str(exc))
+            kinds["no cycle"] += 1
+    return kinds, hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Recorded from the oracle and prover before the graph searches were
+# merged into `ars.bfs`/`ars.cyclic_sccs`; every witness must stay identical.
+GOLDEN_WITNESSES = (
+    {"FinitePath": 768, "Lasso": 90, "valid": 742, "no cycle": 303},
+    "a24ca0b2f5c566b7c54fdf812247422e87549a893a4ea19d8eb32795f5eb9d8b",
+)
+
+
+def test_witnesses_match_golden_digest():
+    assert _witness_digest(4242, 400) == GOLDEN_WITNESSES
