@@ -18,14 +18,19 @@ Model DSL (UTF-8, `#` comments):
     }
 
 Guards combine comparisons (=, !=, <, <=, >, >=) of variables and literals
-with &&, ||, ! and parentheses; a bare boolean variable is an atom.  State
-predicates additionally allow `loc(<process>) = <location>` atoms.
+with &&, ||, ! and parentheses (`(` and `!` nested at most MAX_NESTING
+deep); a bare boolean variable is an atom.  State predicates additionally
+allow `loc(<process>) = <location>` atoms.  Guards are type-checked when the
+model is parsed, assignments when it is expanded; each expression is
+compiled once into a test over a state's location and value tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 
@@ -190,34 +195,43 @@ class _TokenStream:
 # ---------------------------------------------------------------------------
 # Expression parsing (guards and state predicates share one grammar)
 
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+# Deepest `(`/`!` nesting an expression may have.  The parser and the
+# compiler recurse once per level; `&&`/`||` chains are flat and cost none.
+MAX_NESTING = 100
 
 
-def _parse_expr(ts: _TokenStream, allow_loc: bool) -> tuple:
-    node = _parse_and(ts, allow_loc)
+def _parse_expr(ts: _TokenStream, allow_loc: bool, depth: int = 0) -> tuple:
+    terms = [_parse_and(ts, allow_loc, depth)]
     while ts.accept("||"):
-        node = ("or", node, _parse_and(ts, allow_loc))
-    return node
+        terms.append(_parse_and(ts, allow_loc, depth))
+    return terms[0] if len(terms) == 1 else ("or", *terms)
 
 
-def _parse_and(ts: _TokenStream, allow_loc: bool) -> tuple:
-    node = _parse_unary(ts, allow_loc)
+def _parse_and(ts: _TokenStream, allow_loc: bool, depth: int) -> tuple:
+    terms = [_parse_unary(ts, allow_loc, depth)]
     while ts.accept("&&"):
-        node = ("and", node, _parse_unary(ts, allow_loc))
+        terms.append(_parse_unary(ts, allow_loc, depth))
+    return terms[0] if len(terms) == 1 else ("and", *terms)
+
+
+def _parse_unary(ts: _TokenStream, allow_loc: bool, depth: int) -> tuple:
+    tok = ts.peek()
+    if tok.text not in ("!", "("):
+        return _parse_atom(ts, allow_loc)
+    if depth == MAX_NESTING:
+        raise ts.error(f"expression nested deeper than {MAX_NESTING} levels")
+    ts.next()
+    if tok.text == "!":
+        return ("not", _parse_unary(ts, allow_loc, depth + 1))
+    node = _parse_expr(ts, allow_loc, depth + 1)
+    ts.expect(")")
     return node
-
-
-def _parse_unary(ts: _TokenStream, allow_loc: bool) -> tuple:
-    if ts.accept("!"):
-        return ("not", _parse_unary(ts, allow_loc))
-    return _parse_atom(ts, allow_loc)
 
 
 def _parse_atom(ts: _TokenStream, allow_loc: bool) -> tuple:
-    if ts.accept("("):
-        node = _parse_expr(ts, allow_loc)
-        ts.expect(")")
-        return node
     lhs = _parse_operand(ts, allow_loc)
     tok = ts.peek()
     if tok.text in _CMP_OPS and tok.kind == "sym":
@@ -374,7 +388,7 @@ def _parse_process(ts: _TokenStream, names: set[str], variables: list[VarDecl]) 
                 guard_tok = ts.peek()
                 guard = _parse_expr(ts, allow_loc=False)
                 try:
-                    _check_expr(Model(tuple(variables), ()), guard, allow_loc=False)
+                    _compile(Model(tuple(variables), ()), guard, allow_loc=False)
                 except ModelError as exc:
                     raise ModelSyntaxError(str(exc), guard_tok.line, guard_tok.column) from None
             assigns: list[tuple[str, tuple]] = []
@@ -409,111 +423,120 @@ def _parse_assign(ts: _TokenStream, var_names: set[str]) -> tuple[str, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Typing and evaluation
+# Compilation: type-check an expression once, then test it on many states
 
 _INT_ONLY_OPS = ("<", "<=", ">", ">=")
 
+# A compiled state test: (locations, values) of one state -> truth.
+StateTest = Callable[[tuple[str, ...], tuple[Value, ...]], bool]
 
-def _check_expr(model: Model, node: tuple, allow_loc: bool) -> None:
+
+def _var(model: Model, name: str) -> tuple[int, VarDecl]:
+    decl = model.var(name)
+    return model.variables.index(decl), decl
+
+
+def _compile(model: Model, node: tuple, allow_loc: bool) -> StateTest:
+    """Type-check an expression AST against `model` and compile it to a test
+    over a state's location and value tuples; raises ModelError."""
     kind = node[0]
     if kind in ("or", "and"):
-        _check_expr(model, node[1], allow_loc)
-        _check_expr(model, node[2], allow_loc)
-    elif kind == "not":
-        _check_expr(model, node[1], allow_loc)
-    elif kind == "atom":
+        tests = [_compile(model, child, allow_loc) for child in node[1:]]
+        return _any_of(tests) if kind == "or" else _all_of(tests)
+    if kind == "not":
+        test = _compile(model, node[1], allow_loc)
+        return lambda locs, values: not test(locs, values)
+    if kind == "atom":
         operand = node[1]
         if operand[0] == "bool":
-            return
+            return lambda locs, values, b=operand[1]: b
         if operand[0] == "name":
-            if not model.var(operand[1]).is_bool:
+            i, decl = _var(model, operand[1])
+            if not decl.is_bool:
                 raise ModelError(f"variable {operand[1]!r} is not boolean")
-            return
+            return lambda locs, values: values[i]
         raise ModelError(f"{operand[0]} is not a boolean atom")
-    elif kind == "cmp":
-        _, op, lhs, rhs = node
-        if lhs[0] == "loc" or rhs[0] == "loc":
-            if lhs[0] != "loc":
-                lhs, rhs = rhs, lhs
-            if not allow_loc:
-                raise ModelError("loc() atoms are not allowed here")
-            proc = model.process(lhs[1])
-            if op not in ("=", "!="):
-                raise ModelError(f"locations support only = and !=, not {op}")
-            if rhs[0] != "name" or rhs[1] not in proc.locations:
-                raise ModelError(f"{_render_operand(rhs)} is not a location of {proc.name}")
-            return
-        lt = _operand_type(model, lhs)
-        rt = _operand_type(model, rhs)
-        if lt != rt:
-            raise ModelError(f"type mismatch: {_render_operand(lhs)} {op} {_render_operand(rhs)}")
-        if lt == "bool" and op in _INT_ONLY_OPS:
-            raise ModelError(f"operator {op} needs integer operands")
-        for side in (lhs, rhs):
-            if side[0] == "int":
-                other = rhs if side is lhs else lhs
-                if other[0] == "name" and not model.var(other[1]).admits(side[1]):
-                    decl = model.var(other[1])
-                    raise ModelError(
-                        f"literal {side[1]} outside {decl.name}:int[{decl.lo}..{decl.hi}]")
-    else:
+    if kind != "cmp":
         raise ModelError(f"unknown expression node {kind!r}")
+    _, op, lhs, rhs = node
+    cmp = _CMP_OPS[op]
+    if lhs[0] == "loc" or rhs[0] == "loc":
+        if lhs[0] != "loc":
+            lhs, rhs = rhs, lhs
+        if not allow_loc:
+            raise ModelError("loc() atoms are not allowed here")
+        proc = model.process(lhs[1])
+        if op not in ("=", "!="):
+            raise ModelError(f"locations support only = and !=, not {op}")
+        if rhs[0] != "name" or rhs[1] not in proc.locations:
+            raise ModelError(f"{_render_operand(rhs)} is not a location of {proc.name}")
+        p, loc = model.processes.index(proc), rhs[1]
+        return lambda locs, values: cmp(locs[p], loc)
+    left, lt = _compile_operand(model, lhs)
+    right, rt = _compile_operand(model, rhs)
+    if lt != rt:
+        raise ModelError(f"type mismatch: {_render_operand(lhs)} {op} {_render_operand(rhs)}")
+    if lt == "bool" and op in _INT_ONLY_OPS:
+        raise ModelError(f"operator {op} needs integer operands")
+    for side, other in ((lhs, rhs), (rhs, lhs)):
+        if side[0] == "int" and other[0] == "name":
+            decl = model.var(other[1])
+            if not decl.admits(side[1]):
+                raise ModelError(f"literal {side[1]} outside {decl.name}:int[{decl.lo}..{decl.hi}]")
+    return lambda locs, values: cmp(left(values), right(values))
 
 
-def _operand_type(model: Model, operand: tuple) -> str:
-    if operand[0] == "int":
-        return "int"
-    if operand[0] == "bool":
-        return "bool"
+def _all_of(tests: list[StateTest]) -> StateTest:
+    def test(locs, values):
+        for t in tests:
+            if not t(locs, values):
+                return False
+        return True
+    return test
+
+
+def _any_of(tests: list[StateTest]) -> StateTest:
+    def test(locs, values):
+        for t in tests:
+            if t(locs, values):
+                return True
+        return False
+    return test
+
+
+def _compile_operand(model: Model, operand: tuple) -> tuple[Callable[[tuple], Value], str]:
+    """A reader of the operand's value from a state's value tuple, and its type."""
+    if operand[0] in ("int", "bool"):
+        return (lambda values, c=operand[1]: c), operand[0]
     if operand[0] == "name":
-        return "bool" if model.var(operand[1]).is_bool else "int"
+        i, decl = _var(model, operand[1])
+        return (lambda values: values[i]), "bool" if decl.is_bool else "int"
     raise ModelError(f"unexpected operand {operand[0]!r}")
+
+
+def _compile_assign(model: Model, var_name: str,
+                    rhs: tuple) -> tuple[int, VarDecl, Callable[[tuple], Value]]:
+    """Type-check `var_name := rhs`; the variable's position, its declaration
+    and a reader of the assigned value from a state's value tuple."""
+    pos, decl = _var(model, var_name)
+    read, rt = _compile_operand(model, rhs)
+    if rhs[0] == "name":
+        if (rt == "bool") != decl.is_bool:
+            raise ModelError(f"assignment {var_name} := {rhs[1]} mixes bool and int")
+    elif rhs[0] == "bool":
+        if not decl.is_bool:
+            raise ModelError(f"assignment {var_name} := {rhs[1]} needs an integer")
+    elif decl.is_bool:
+        raise ModelError(f"assignment {var_name} := {rhs[1]} needs true/false")
+    elif not decl.admits(rhs[1]):
+        raise DomainError(f"assignment {var_name} := {rhs[1]} leaves int[{decl.lo}..{decl.hi}]")
+    return pos, decl, read
 
 
 def _render_operand(operand: tuple) -> str:
     if operand[0] == "loc":
         return f"loc({operand[1]})"
     return str(operand[1]).lower() if operand[0] == "bool" else str(operand[1])
-
-
-def _eval_expr(node: tuple, locs: dict[str, str], env: dict[str, Value]) -> bool:
-    kind = node[0]
-    if kind == "or":
-        return _eval_expr(node[1], locs, env) or _eval_expr(node[2], locs, env)
-    if kind == "and":
-        return _eval_expr(node[1], locs, env) and _eval_expr(node[2], locs, env)
-    if kind == "not":
-        return not _eval_expr(node[1], locs, env)
-    if kind == "atom":
-        return bool(_eval_operand(node[1], locs, env))
-    if kind == "cmp":
-        _, op, lhs, rhs = node
-        if lhs[0] == "loc" or rhs[0] == "loc":
-            if lhs[0] != "loc":
-                lhs, rhs = rhs, lhs
-            a, b = locs[lhs[1]], rhs[1]
-        else:
-            a, b = _eval_operand(lhs, locs, env), _eval_operand(rhs, locs, env)
-        if op == "=":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
-    raise ModelError(f"unknown expression node {kind!r}")
-
-
-def _eval_operand(operand: tuple, locs: dict[str, str], env: dict[str, Value]):
-    if operand[0] in ("int", "bool"):
-        return operand[1]
-    if operand[0] == "name":
-        return env[operand[1]]
-    raise ModelError(f"cannot evaluate {operand[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,91 +576,60 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
     Object order is lexicographic on the rendered state label, so identical
     model text always yields a bit-identical system.
     """
+    # Per process: location -> [(edge, guard test, assignments)] leaving it.
+    moves = []
     for proc in model.processes:
+        by_src = {loc: [] for loc in proc.locations}
         for edge in proc.edges:
-            if edge.guard is not None:
-                _check_expr(model, edge.guard, allow_loc=False)
-            for var_name, rhs in edge.assigns:
-                decl = model.var(var_name)
-                if rhs[0] == "name":
-                    rdecl = model.var(rhs[1])
-                    if rdecl.is_bool != decl.is_bool:
-                        raise ModelError(
-                            f"assignment {var_name} := {rhs[1]} mixes bool and int")
-                elif rhs[0] == "bool":
-                    if not decl.is_bool:
-                        raise ModelError(f"assignment {var_name} := {rhs[1]} needs an integer")
-                elif not decl.is_bool:
-                    if not decl.admits(rhs[1]):
-                        raise DomainError(
-                            f"assignment {var_name} := {rhs[1]} leaves int[{decl.lo}..{decl.hi}]")
-                else:
-                    raise ModelError(f"assignment {var_name} := {rhs[1]} needs true/false")
+            guard = None if edge.guard is None else _compile(model, edge.guard, allow_loc=False)
+            assigns = [_compile_assign(model, var, rhs) for var, rhs in edge.assigns]
+            by_src[edge.src].append((edge, guard, assigns))
+        moves.append(by_src)
 
     size = prod(len(p.locations) for p in model.processes) * prod(
-        len(v.domain()) for v in model.variables)
+        2 if v.is_bool else v.hi - v.lo + 1 for v in model.variables)
     if size > max_states:
         raise StateLimitError(f"state space of {size} states exceeds cap {max_states}")
 
-    loc_axes = [p.locations for p in model.processes]
-    val_axes = [v.domain() for v in model.variables]
-    all_states = [ModelState(locs, vals)
-                  for locs in itertools.product(*loc_axes)
-                  for vals in itertools.product(*val_axes)]
-    all_states.sort(key=render_state)
-    labels = [render_state(s) for s in all_states]
-    index = {lab: i for i, lab in enumerate(labels)}
+    labelled = sorted(
+        (render_state(state), state)
+        for state in itertools.starmap(ModelState, itertools.product(
+            itertools.product(*(p.locations for p in model.processes)),
+            itertools.product(*(v.domain() for v in model.variables)))))
+    states = tuple(state for _, state in labelled)
+    index = {(s.locs, s.values): i for i, s in enumerate(states)}
 
-    var_names = [v.name for v in model.variables]
-    var_pos = {name: i for i, name in enumerate(var_names)}
     edges: list[tuple[int, int]] = []
-    for sid, state in enumerate(all_states):
-        locs = dict(zip((p.name for p in model.processes), state.locs))
-        env = dict(zip(var_names, state.values))
-        for pi, proc in enumerate(model.processes):
-            here = state.locs[pi]
-            for edge in proc.edges:
-                if edge.src != here:
+    for sid, state in enumerate(states):
+        locs, values = state.locs, state.values
+        for pi, by_src in enumerate(moves):
+            for edge, guard, assigns in by_src[locs[pi]]:
+                if guard is not None and not guard(locs, values):
                     continue
-                if edge.guard is not None and not _eval_expr(edge.guard, locs, env):
-                    continue
-                new_vals = list(state.values)
-                for var_name, rhs in edge.assigns:
-                    value = _eval_operand(rhs, locs, env)
-                    decl = model.var(var_name)
+                new_vals = list(values)
+                for pos, decl, read in assigns:
+                    value = read(values)
                     if not decl.admits(value):
                         raise DomainError(
-                            f"assignment {var_name} := {value} leaves its domain "
-                            f"(edge {edge.src} -> {edge.dst} of {proc.name})")
-                    new_vals[var_pos[var_name]] = value
-                new_locs = state.locs[:pi] + (edge.dst,) + state.locs[pi + 1:]
-                dst = ModelState(new_locs, tuple(new_vals))
-                edges.append((sid, index[render_state(dst)]))
-    ars = Ars(labels, edges)
+                            f"assignment {decl.name} := {value} leaves its domain "
+                            f"(edge {edge.src} -> {edge.dst} of {model.processes[pi].name})")
+                    new_vals[pos] = value
+                new_locs = locs[:pi] + (edge.dst,) + locs[pi + 1:]
+                edges.append((sid, index[new_locs, tuple(new_vals)]))
+    ars = Ars([label for label, _ in labelled], edges)
 
-    init_loc_axes = [p.init_locations for p in model.processes]
-    init_val_axes = [v.init_values for v in model.variables]
     initial = canon(
-        index[render_state(ModelState(locs, vals))]
-        for locs in itertools.product(*init_loc_axes)
-        for vals in itertools.product(*init_val_axes))
-    return Expansion(model, ars, tuple(all_states), initial)
+        index[key] for key in itertools.product(
+            itertools.product(*(p.init_locations for p in model.processes)),
+            itertools.product(*(v.init_values for v in model.variables))))
+    return Expansion(model, ars, states, initial)
 
 
 def eval_state_predicate(expansion: Expansion, expr: str | tuple) -> StateSet:
     """States of the expansion satisfying a state-predicate expression."""
     node = parse_state_expr(expr) if isinstance(expr, str) else expr
-    model = expansion.model
-    _check_expr(model, node, allow_loc=True)
-    proc_names = [p.name for p in model.processes]
-    var_names = [v.name for v in model.variables]
-    hits = []
-    for sid, state in enumerate(expansion.states):
-        locs = dict(zip(proc_names, state.locs))
-        env = dict(zip(var_names, state.values))
-        if _eval_expr(node, locs, env):
-            hits.append(sid)
-    return canon(hits)
+    test = _compile(expansion.model, node, allow_loc=True)
+    return canon(sid for sid, s in enumerate(expansion.states) if test(s.locs, s.values))
 
 
 # ---------------------------------------------------------------------------

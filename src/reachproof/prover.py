@@ -130,7 +130,7 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
     fold_sources: set[StateSet] = set()
     queue = [0]
 
-    for v in queue:  # grows while it is walked: a FIFO queue of open goals
+    for done, v in enumerate(queue):  # grows while walked: a FIFO queue of open goals
         pv = preds[v]
         comp = companions.get(pv)
         if comp is not None:
@@ -141,7 +141,10 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
         kid_ids = []
         for kp in kid_preds:
             if len(preds) >= cfg.node_budget:
-                raise NodeBudgetExceeded(f"node budget {cfg.node_budget} exceeded")
+                raise NodeBudgetExceeded(
+                    f"node budget {cfg.node_budget} exceeded: {len(preds)} nodes made, "
+                    f"{len(queue) - done} goals open, largest source set "
+                    f"{max(len(p.source) for p in preds)} states")
             w = len(preds)
             preds.append(kp)
             kid_ids.append(w)

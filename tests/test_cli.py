@@ -106,6 +106,40 @@ class TestCheck:
                            "--source", "a", "--target", "c,d")
         assert code == 2
         assert "node budget" in err
+        assert err == ("error: node budget 2 exceeded: 2 nodes made, 1 goals open, "
+                       "largest source set 2 states\n")
+
+    def test_wide_domain_hits_the_state_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.model"
+        path.write_text("var x: int[0..1000000000000] = 0\n"
+                        "process P {\n  loc a init\n  edge a -> a do x := 1\n}\n")
+        code, out, err = run(capsys, "expand", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: state space of 1000000000001 states exceeds cap 1000000\n"
+
+    @pytest.mark.parametrize("source", ["(" * 400 + "b0" + ")" * 400, "!" * 1200 + "b0"],
+                             ids=["parentheses", "negations"])
+    def test_deep_predicate_is_a_syntax_error(self, capsys, source):
+        code, out, err = run(capsys, "check", "--builtin", "peterson",
+                             "--source", source, "--target", "b1")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 101: expression nested deeper than 100 levels\n"
+
+    def test_deep_guard_is_a_syntax_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.model"
+        path.write_text("var b: bool = false\nprocess P {\n  loc a init\n"
+                        f"  edge a -> a when {'!' * 1200}b\n}}\n")
+        code, out, err = run(capsys, "expand", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 4, column 120: expression nested deeper than 100 levels\n"
+
+    def test_long_conjunction_decides_like_its_atom(self, capsys):
+        outputs = []
+        for source in (" && ".join(["b0"] * 1200), "b0"):
+            code, out, _ = run(capsys, "liveness", "--builtin", "peterson",
+                               "--from", source, "--goal", "loc(P0)=crit0 || b1")
+            outputs.append((code, re.sub(r"time: \d+ ms", "", out)))
+        assert outputs[0] == outputs[1]
 
 
 class TestEngines:

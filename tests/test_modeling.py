@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from reachproof import (
@@ -16,6 +18,7 @@ from reachproof import (
     render_ars,
 )
 from reachproof.modeling import (
+    MAX_NESTING,
     DomainError,
     ModelError,
     ModelSyntaxError,
@@ -26,6 +29,93 @@ from reachproof.modeling import (
 # Golden constant: reachable states of the built-in mutual-exclusion model
 # from its two initial states, computed once by the closure and pinned.
 PETERSON_REACHABLE = 10
+
+
+def _semaphore_source(n: int, racy: int | None) -> str:
+    """N processes idle -> wait -> crit -> idle around one lock; process
+    `racy` enters without testing the lock."""
+    lines = ["var lock: bool = false"]
+    for i in range(n):
+        guard = "" if i == racy else " when !lock"
+        lines += [f"process P{i} {{", f"  loc idle{i} init", f"  loc wait{i}",
+                  f"  loc crit{i}", f"  edge idle{i} -> wait{i}",
+                  f"  edge wait{i} -> crit{i}{guard} do lock := true",
+                  f"  edge crit{i} -> idle{i} do lock := false", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _semaphore_predicates(n: int) -> list[str]:
+    last = n - 1
+    return ["lock", "!lock && loc(P0)=crit0", "lock = true", "lock != false",
+            f"loc(P0)=wait0 || loc(P{last})=crit{last}",
+            f"loc(P1) != idle1 && (lock || loc(P0)=idle0)", "true"]
+
+
+COUNTER_SOURCE = """\
+var x: int[0..3] = 0
+var y: int[0..3] = 1 | 2
+var f: bool = false
+process P {
+  loc a init
+  loc b
+  edge a -> b when x < 3 && y >= 1 do x := y; f := true
+  edge b -> a when x > 0 || f do y := x; f := false
+  edge b -> b when x <= y && f != false do x := 0
+}
+process Q {
+  loc q init
+  edge q -> q when !(y = 3) do y := 3
+  edge q -> q when x != y do x := y; y := x
+}
+"""
+
+COUNTER_PREDICATES = ["x < y", "y >= 2 && !f", "loc(P)=b || x > 1", "x <= 1 && y != 0",
+                      "loc(Q) = q && (f = true || x = 3)", "1 < x", "false"]
+
+PETERSON_PREDICATES = ["loc(P0)=wait0 && b0=true", "loc(P0)=crit0 && loc(P1)=crit1",
+                       "!(x = 0)", "x != 1 || b1", "b0=true || b1=true", "x >= 1 && x < 1"]
+
+
+def _golden_models():
+    for n in (3, 4, 5):
+        for racy in (None, n - 2):
+            name = f"sem{n}-{'racy' if racy is not None else 'correct'}"
+            yield name, (lambda n=n, racy=racy: parse_model(_semaphore_source(n, racy)),
+                         _semaphore_predicates(n))
+    yield "peterson", (builtin_peterson, PETERSON_PREDICATES)
+    yield "counter", (lambda: parse_model(COUNTER_SOURCE), COUNTER_PREDICATES)
+
+
+GOLDEN_MODELS = dict(_golden_models())
+
+
+def _expansion_digest(name: str) -> str:
+    """`render_ars` with the `expand` initial line, then each predicate's set."""
+    make, preds = GOLDEN_MODELS[name]
+    exp = expand(make())
+    lines = [render_ars(exp.ars),
+             "# initial: " + ",".join(exp.ars.labels[i] for i in exp.initial)]
+    lines += [f"{p}: {list(eval_state_predicate(exp, p))}" for p in preds]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Recorded when guards were still type-checked and interpreted by separate
+# tree walkers and states were interned by their rendered label.
+GOLDEN_EXPANSIONS = {
+    "sem3-correct": "19f951e7cff27580f9b872a1ba12f0f2c213f52c88a44d309a609ea17dba5825",
+    "sem3-racy": "14f308eca38c5ad5c40354d0bc139f9e57db0675f603eefd2a4f07ea09aeb6a3",
+    "sem4-correct": "630a1ab67442b32b52cffad0cb1e5b338685bf3e723f9c6fed0620795b717866",
+    "sem4-racy": "a630d9ce3e69c53e274d319ca7137fe8ea2ac74c9b687946e072ad5f269b0586",
+    "sem5-correct": "b551ce699c56edb6a87ea4bfcfd676f625a7482cd6b397fb266579c83a8c790a",
+    "sem5-racy": "116b14011575289984720da85639ab0ccb1497f6ce785620f5dbf83ed60bbb72",
+    "peterson": "0d2a6d378ced057012904e11ff31b616ed519e0326bb9805b921a037987495a0",
+    "counter": "923e4e9184ac9af5df9537a7bfe79dff10b7e0d5d433798424b1ddcb0da568b9",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_EXPANSIONS)
+def test_expansion_matches_golden_digest(name):
+    assert _expansion_digest(name) == GOLDEN_EXPANSIONS[name]
 
 
 class TestParseModel:
@@ -103,6 +193,19 @@ class TestExpand:
         with pytest.raises(DomainError):
             expand(model)
 
+    @pytest.mark.parametrize("assign, error, needle", [
+        ("b := x", ModelError, "assignment b := x mixes bool and int"),
+        ("x := true", ModelError, "needs an integer"),
+        ("b := 1", ModelError, "assignment b := 1 needs true/false"),
+        ("x := 5", DomainError, r"assignment x := 5 leaves int\[0\.\.1\]"),
+        ("x := y", DomainError, r"assignment x := 2 leaves its domain \(edge a -> a of P\)"),
+    ])
+    def test_assignment_errors_at_expansion(self, assign, error, needle):
+        model = parse_model("var b: bool = false\nvar x: int[0..1] = 0\nvar y: int[0..3] = 0\n"
+                            f"process P {{ loc a init\n edge a -> a do {assign} }}")
+        with pytest.raises(error, match=needle):
+            expand(model)
+
     def test_state_cap(self):
         with pytest.raises(StateLimitError):
             expand(builtin_peterson(), max_states=10)
@@ -117,6 +220,8 @@ class TestExpand:
     def test_interleaving_justified_by_exactly_one_process_edge(self, peterson):
         model = peterson.model
         var_names = [v.name for v in model.variables]
+        enabled = {edge: set(eval_state_predicate(peterson, edge.guard))
+                   for proc in model.processes for edge in proc.edges if edge.guard is not None}
         checked = 0
         for sid in range(0, peterson.ars.n, 3):
             state = peterson.states[sid]
@@ -136,9 +241,7 @@ class TestExpand:
                         new = dict(env)
                         for var, rhs in edge.assigns:
                             new[var] = env[rhs[1]] if rhs[0] == "name" else rhs[1]
-                        from reachproof.modeling import _eval_expr
-                        locs = dict(zip((p.name for p in model.processes), state.locs))
-                        guard_ok = edge.guard is None or _eval_expr(edge.guard, locs, env)
+                        guard_ok = edge.guard is None or sid in enabled[edge]
                         if guard_ok and tuple(new[v] for v in var_names) == dstate.values:
                             causes.append((proc.name, edge))
                 assert len(causes) == 1
@@ -174,11 +277,29 @@ class TestEvalStatePredicate:
         ("x = 7", "outside"),
         ("x", "not boolean"),
         ("b0 &&", "expected a variable or literal"),
+        ("1", "int is not a boolean atom"),
+        ("loc(P0)", "loc is not a boolean atom"),
+        ("b0 < true", "operator < needs integer operands"),
         ("b0 = true extra", "trailing input"),
     ])
     def test_type_errors(self, peterson, expr, needle):
         with pytest.raises(ModelError, match=needle):
             eval_state_predicate(peterson, expr)
+
+    def test_long_chains_are_flat(self, peterson):
+        b0 = eval_state_predicate(peterson, "b0")
+        for op in ("&&", "||"):
+            text = f" {op} ".join(["b0"] * 1200)
+            assert len(parse_state_expr(text)) == 1201
+            assert eval_state_predicate(peterson, text) == b0
+
+    @pytest.mark.parametrize("prefix, suffix", [("(", ")"), ("!!", "")])
+    def test_nesting_limit(self, peterson, prefix, suffix):
+        ok = prefix * (MAX_NESTING // len(prefix)) + "b0" + suffix * (MAX_NESTING // len(prefix))
+        assert eval_state_predicate(peterson, ok) == eval_state_predicate(peterson, "b0")
+        with pytest.raises(ModelSyntaxError, match="nested deeper than") as info:
+            parse_state_expr(prefix + ok + suffix)
+        assert (info.value.line, info.value.column) == (1, MAX_NESTING + 1)
 
     def test_parse_state_expr_ast_reusable(self, peterson):
         ast = parse_state_expr("b0=true || b1=true")
