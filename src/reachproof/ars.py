@@ -68,6 +68,33 @@ class Ars:
         self.normal_forms: StateSet = tuple(i for i in range(n) if not self.succs[i])
         self._nf = frozenset(self.normal_forms)
 
+    def with_sink(self, label: str, feeders: Iterable[int]) -> Ars:
+        """This system plus one fresh irreducible object `label`, with id
+        `n` and an edge into it from every feeder.
+
+        Equal to rebuilding the system from all labels and edges, but the
+        validated labels, index and successor tuples are shared: only the
+        feeders' successor tuples are built anew.
+        """
+        feeders = self.check_members(feeders)
+        if not LABEL_RE.match(label):
+            raise ArsError(f"bad object label {label!r}")
+        if label in self.index:
+            raise ArsError(f"duplicate object label {label!r}")
+        sink = self.n
+        succs = list(self.succs)
+        for s in feeders:
+            succs[s] += (sink,)
+        succs.append(EMPTY)
+        fed = set(feeders)
+        new = object.__new__(Ars)
+        new.labels = self.labels + (label,)
+        new.index = {**self.index, label: sink}
+        new.succs = tuple(succs)
+        new.normal_forms = tuple(s for s in self.normal_forms if s not in fed) + (sink,)
+        new._nf = frozenset(new.normal_forms)
+        return new
+
     @property
     def n(self) -> int:
         return len(self.labels)

@@ -158,6 +158,7 @@ class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.atoms: list[tuple[tuple, Token]] = []  # each atom parsed, with its first token
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -232,13 +233,16 @@ def _parse_unary(ts: _TokenStream, allow_loc: bool, depth: int) -> tuple:
 
 
 def _parse_atom(ts: _TokenStream, allow_loc: bool) -> tuple:
+    first = ts.peek()
     lhs = _parse_operand(ts, allow_loc)
     tok = ts.peek()
     if tok.text in _CMP_OPS and tok.kind == "sym":
         op = ts.next().text
-        rhs = _parse_operand(ts, allow_loc)
-        return ("cmp", op, lhs, rhs)
-    return ("atom", lhs)
+        node = ("cmp", op, lhs, _parse_operand(ts, allow_loc))
+    else:
+        node = ("atom", lhs)
+    ts.atoms.append((node, first))
+    return node
 
 
 def _parse_operand(ts: _TokenStream, allow_loc: bool) -> tuple:
@@ -296,11 +300,19 @@ def parse_model(text: str) -> Model:
     return Model(tuple(variables), tuple(processes))
 
 
+def _declare(tok: Token, names: set[str]) -> str:
+    """Claim `tok` as a new variable, process or location name."""
+    if tok.text in ("true", "false"):
+        raise ModelSyntaxError(f"{tok.text!r} is a literal, not a name", tok.line, tok.column)
+    if tok.text in names:
+        raise ModelSyntaxError(f"duplicate name {tok.text!r}", tok.line, tok.column)
+    names.add(tok.text)
+    return tok.text
+
+
 def _parse_var(ts: _TokenStream, names: set[str]) -> VarDecl:
     name_tok = ts.expect_ident("a variable name")
-    if name_tok.text in names:
-        raise ModelSyntaxError(f"duplicate name {name_tok.text!r}", name_tok.line, name_tok.column)
-    names.add(name_tok.text)
+    _declare(name_tok, names)
     ts.expect(":")
     type_tok = ts.next()
     if type_tok.text == "bool":
@@ -354,9 +366,7 @@ def _parse_value(ts: _TokenStream, decl: VarDecl) -> Value:
 
 def _parse_process(ts: _TokenStream, names: set[str], variables: list[VarDecl]) -> ProcessDecl:
     name_tok = ts.expect_ident("a process name")
-    if name_tok.text in names:
-        raise ModelSyntaxError(f"duplicate name {name_tok.text!r}", name_tok.line, name_tok.column)
-    names.add(name_tok.text)
+    _declare(name_tok, names)
     ts.expect("{")
     locations: list[str] = []
     init_locations: list[str] = []
@@ -366,14 +376,10 @@ def _parse_process(ts: _TokenStream, names: set[str], variables: list[VarDecl]) 
         head = ts.peek()
         if head.text == "loc":
             ts.next()
-            loc_tok = ts.expect_ident("a location name")
-            if loc_tok.text in names:
-                raise ModelSyntaxError(
-                    f"duplicate name {loc_tok.text!r}", loc_tok.line, loc_tok.column)
-            names.add(loc_tok.text)
-            locations.append(loc_tok.text)
+            loc = _declare(ts.expect_ident("a location name"), names)
+            locations.append(loc)
             if ts.accept("init"):
-                init_locations.append(loc_tok.text)
+                init_locations.append(loc)
         elif head.text == "edge":
             ts.next()
             src = ts.expect_ident("a source location")
@@ -385,12 +391,16 @@ def _parse_process(ts: _TokenStream, names: set[str], variables: list[VarDecl]) 
                         f"unknown location {tok.text!r}", tok.line, tok.column)
             guard = None
             if ts.accept("when"):
-                guard_tok = ts.peek()
+                # Only atoms can be ill-typed: check each one, so that an
+                # error points at the atom that failed.
+                first = len(ts.atoms)
                 guard = _parse_expr(ts, allow_loc=False)
-                try:
-                    _compile(Model(tuple(variables), ()), guard, allow_loc=False)
-                except ModelError as exc:
-                    raise ModelSyntaxError(str(exc), guard_tok.line, guard_tok.column) from None
+                scope = Model(tuple(variables), ())
+                for atom, tok in ts.atoms[first:]:
+                    try:
+                        _compile(scope, atom, allow_loc=False)
+                    except ModelError as exc:
+                        raise ModelSyntaxError(str(exc), tok.line, tok.column) from None
             assigns: list[tuple[str, tuple]] = []
             if ts.accept("do"):
                 assigns.append(_parse_assign(ts, var_names))
@@ -550,12 +560,6 @@ class ModelState:
     values: tuple[Value, ...]
 
 
-def render_state(state: ModelState) -> str:
-    parts = list(state.locs) + [str(v).lower() if isinstance(v, bool) else str(v)
-                                for v in state.values]
-    return "<" + ",".join(parts) + ">"
-
-
 @dataclass
 class Expansion:
     """Expanded model: the system, the state table aligned with its ids,
@@ -573,8 +577,19 @@ DEFAULT_STATE_CAP = 1_000_000
 def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
     """Eagerly expand the full Cartesian state space with interleaving.
 
-    Object order is lexicographic on the rendered state label, so identical
-    model text always yields a bit-identical system.
+    Object order is lexicographic on the rendered state label
+    `<loc,...,loc,value,...,value>`, so identical model text always yields a
+    bit-identical system.  No field contains `,` or `>`, so that order is
+    the product of one order per field: its text followed by the separator
+    after it (`>` for the last field, so `10` sorts before `1`).  A state's
+    id is its mixed-radix number over those sorted fields, the variables
+    being the low-order digits, and each label is put together from
+    per-field strings.
+
+    Guards and assignments read only variables, so each edge is evaluated
+    once per valuation `vi`; its transitions are then `li*|V| + vi ->
+    li*|V| + vi + delta` for every location index `li` whose digit for the
+    edge's process is the edge's source.
     """
     # Per process: location -> [(edge, guard test, assignments)] leaving it.
     moves = []
@@ -591,35 +606,62 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
     if size > max_states:
         raise StateLimitError(f"state space of {size} states exceeds cap {max_states}")
 
-    labelled = sorted(
-        (render_state(state), state)
-        for state in itertools.starmap(ModelState, itertools.product(
-            itertools.product(*(p.locations for p in model.processes)),
-            itertools.product(*(v.domain() for v in model.variables)))))
-    states = tuple(state for _, state in labelled)
-    index = {(s.locs, s.values): i for i, s in enumerate(states)}
+    # One axis per field: (text and separator, location or value), sorted.
+    fields = [[(loc, loc) for loc in p.locations] for p in model.processes]
+    fields += [[(str(v).lower() if decl.is_bool else str(v), v) for v in decl.domain()]
+               for decl in model.variables]
+    seps = [","] * (len(fields) - 1) + [">"]
+    axes = [sorted((text + sep, v) for text, v in axis) for axis, sep in zip(fields, seps)]
+    labels = ["<"] if axes else ["<>"]
+    for axis in axes:
+        labels = [head + text for head in labels for text, _ in axis]
+
+    n_procs = len(model.processes)
+    loc_axes = [[loc for _, loc in axis] for axis in axes[:n_procs]]
+    valuations = list(itertools.product(*([v for _, v in axis] for axis in axes[n_procs:])))
+    vindex = {values: vi for vi, values in enumerate(valuations)}
+    nv = len(valuations)
+    # The id step of each process's location digit.
+    weight = [prod(map(len, loc_axes[pi + 1:])) * nv for pi in range(n_procs)]
 
     edges: list[tuple[int, int]] = []
-    for sid, state in enumerate(states):
-        locs, values = state.locs, state.values
-        for pi, by_src in enumerate(moves):
-            for edge, guard, assigns in by_src[locs[pi]]:
-                if guard is not None and not guard(locs, values):
-                    continue
-                new_vals = list(values)
-                for pos, decl, read in assigns:
-                    value = read(values)
-                    if not decl.admits(value):
-                        raise DomainError(
-                            f"assignment {decl.name} := {value} leaves its domain "
-                            f"(edge {edge.src} -> {edge.dst} of {model.processes[pi].name})")
-                    new_vals[pos] = value
-                new_locs = locs[:pi] + (edge.dst,) + locs[pi + 1:]
-                edges.append((sid, index[new_locs, tuple(new_vals)]))
-    ars = Ars([label for label, _ in labelled], edges)
+    # The first assignment to leave its domain, in (state, process, edge) order.
+    first_error = None
+    for pi, (proc, by_src, axis, w) in enumerate(zip(model.processes, moves, loc_axes, weight)):
+        digit = {loc: d for d, loc in enumerate(axis)}
+        for d, src in enumerate(axis):
+            if not by_src[src]:
+                continue
+            # The states with process pi at src and valuation 0.
+            bases = [hi + lo for hi in range(d * w, size, w * len(axis)) for lo in range(0, w, nv)]
+            for rank, (edge, guard, assigns) in enumerate(by_src[src]):
+                step = (digit[edge.dst] - d) * w
+                for vi, values in enumerate(valuations):
+                    if guard is not None and not guard((), values):
+                        continue
+                    new_vals = list(values)
+                    for pos, decl, read in assigns:
+                        value = read(values)
+                        if not decl.admits(value):
+                            error = (d * w + vi, pi, rank, decl.name, value, edge, proc.name)
+                            first_error = min(first_error or error, error)
+                            break
+                        new_vals[pos] = value
+                    else:
+                        delta = step + vindex[tuple(new_vals)] - vi
+                        ids = [b + vi for b in bases]
+                        edges += zip(ids, [i + delta for i in ids])
+    if first_error:
+        *_, name, value, edge, proc_name = first_error
+        raise DomainError(f"assignment {name} := {value} leaves its domain "
+                          f"(edge {edge.src} -> {edge.dst} of {proc_name})")
+    ars = Ars(labels, edges)
 
+    states = tuple(itertools.starmap(ModelState, itertools.product(
+        itertools.product(*loc_axes), valuations)))
     initial = canon(
-        index[key] for key in itertools.product(
+        sum(w * axis.index(loc) for w, axis, loc in zip(weight, loc_axes, locs)) + vindex[values]
+        for locs, values in itertools.product(
             itertools.product(*(p.init_locations for p in model.processes)),
             itertools.product(*(v.init_values for v in model.variables))))
     return Expansion(model, ars, states, initial)

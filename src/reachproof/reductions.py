@@ -72,13 +72,6 @@ def _fresh_label(ars: Ars, base: str) -> str:
     return f"{base}_{k}"
 
 
-def _extended(ars: Ars, label: str, new_edges) -> tuple[Ars, int]:
-    labels = ars.labels + (label,)
-    edges = [(src, dst) for src in range(ars.n) for dst in ars.succs[src]]
-    edges.extend(new_edges)
-    return Ars(labels, edges), ars.n
-
-
 def augment_error(ars: Ars, error_states) -> tuple[Ars, int]:
     """Add a fresh irreducible `error` object fed by every error state.
 
@@ -88,23 +81,19 @@ def augment_error(ars: Ars, error_states) -> tuple[Ars, int]:
     error_states = ars.check_members(error_states)
     if not error_states:
         raise ArsError("augment_error needs at least one error state")
-    label = _fresh_label(ars, "error")
-    fresh = ars.n
-    return _extended(ars, label, [(s, fresh) for s in error_states])
+    return ars.with_sink(_fresh_label(ars, "error"), error_states), ars.n
 
 
 def augment_any(ars: Ars, e) -> tuple[Ars, int]:
     """Add a fresh irreducible `any` sink reachable from every non-error state."""
     e = ars.check_members(e)
-    nf = set(ars.normal_forms)
-    bad = [s for s in e if s not in nf]
+    bad = [s for s in e if not ars.is_normal_form(s)]
     if bad:
         labels = ", ".join(ars.labels[s] for s in bad)
         raise ArsError(f"augment_any needs irreducible error states (got {labels})")
-    label = _fresh_label(ars, "any")
-    fresh = ars.n
     eset = set(e)
-    return _extended(ars, label, [(s, fresh) for s in range(ars.n) if s not in eset])
+    feeders = [s for s in range(ars.n) if s not in eset]
+    return ars.with_sink(_fresh_label(ars, "any"), feeders), ars.n
 
 
 def build_safety_query(ars: Ars, p, e_raw) -> tuple[Ars, AprPredicate]:
@@ -117,8 +106,7 @@ def build_safety_query(ars: Ars, p, e_raw) -> tuple[Ars, AprPredicate]:
     """
     p = ars.check_members(p)
     e = ars.check_members(e_raw)
-    nf = set(ars.normal_forms)
-    if any(s not in nf for s in e):
+    if not all(map(ars.is_normal_form, e)):
         ars, err_id = augment_error(ars, e)
         e = (err_id,)
     ars, any_id = augment_any(ars, e)

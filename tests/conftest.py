@@ -34,6 +34,33 @@ def random_ars(rng: random.Random, max_states: int = 8) -> Ars:
     return Ars(labels, edges)
 
 
+def rebuilt_with_sink(ars: Ars, label: str, feeders) -> Ars:
+    """`ars` plus a sink, rebuilt from scratch out of every label and edge."""
+    edges = [(src, dst) for src in range(ars.n) for dst in ars.succs[src]]
+    return Ars(ars.labels + (label,), edges + [(s, ars.n) for s in feeders])
+
+
+def assert_same_system(got: Ars, want: Ars) -> None:
+    assert got == want
+    assert got.index == want.index
+    assert got.normal_forms == want.normal_forms
+    assert [got.is_normal_form(i) for i in range(got.n)] == \
+        [want.is_normal_form(i) for i in range(want.n)]
+
+
 def random_subset(rng: random.Random, n: int):
     bias = rng.choice([0.2, 0.5])
     return canon(i for i in range(n) if rng.random() < bias)
+
+
+def semaphore_source(n: int, racy: int | None) -> str:
+    """N processes idle -> wait -> crit -> idle around one lock; process
+    `racy` enters without testing the lock."""
+    lines = ["var lock: bool = false"]
+    for i in range(n):
+        guard = "" if i == racy else " when !lock"
+        lines += [f"process P{i} {{", f"  loc idle{i} init", f"  loc wait{i}",
+                  f"  loc crit{i}", f"  edge idle{i} -> wait{i}",
+                  f"  edge wait{i} -> crit{i}{guard} do lock := true",
+                  f"  edge crit{i} -> idle{i} do lock := false", "}"]
+    return "\n".join(lines) + "\n"

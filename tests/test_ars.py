@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from reachproof.ars import (
     region_succs,
 )
 
-from conftest import A1_TEXT
+from conftest import A1_TEXT, assert_same_system, random_ars, random_subset, rebuilt_with_sink
 
 
 @st.composite
@@ -94,6 +96,35 @@ def test_labels_round_trip_or_fail_at_construction(labels):
         assert any(not LABEL_RE.match(lab) for lab in labels) or len(set(labels)) < len(labels)
         return
     assert parse_ars(render_ars(ars)) == ars
+
+
+class TestWithSink:
+    def test_equals_full_rebuild(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            ars = random_ars(rng)
+            feeders = random_subset(rng, ars.n)
+            before = (ars.labels, ars.succs, ars.normal_forms, dict(ars.index))
+            # Feeders in any order and with repeats.
+            new = ars.with_sink("sink", [*reversed(feeders), *feeders])
+            assert_same_system(new, rebuilt_with_sink(ars, "sink", feeders))
+            assert new.succs[ars.n] == ()
+            assert (ars.labels, ars.succs, ars.normal_forms, ars.index) == before
+
+    @pytest.mark.parametrize("label", ["a b", "", "x?", "c#d"])
+    def test_bad_label_rejected(self, a1, label):
+        with pytest.raises(ArsError, match="bad object label"):
+            a1.with_sink(label, (0,))
+
+    def test_duplicate_label_rejected(self, a1):
+        with pytest.raises(ArsError, match="duplicate object label 'c'"):
+            a1.with_sink("c", (0,))
+
+    @pytest.mark.parametrize("feeders", [(4,), (0, -1), (0, 1, 9)])
+    def test_feeder_outside_table_rejected(self, a1, feeders):
+        with pytest.raises(UnknownObjectError):
+            a1.with_sink("sink", feeders)
+        assert a1 == parse_ars(A1_TEXT)
 
 
 class TestDerivative:

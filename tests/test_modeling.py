@@ -26,22 +26,11 @@ from reachproof.modeling import (
     parse_state_expr,
 )
 
+from conftest import semaphore_source
+
 # Golden constant: reachable states of the built-in mutual-exclusion model
 # from its two initial states, computed once by the closure and pinned.
 PETERSON_REACHABLE = 10
-
-
-def _semaphore_source(n: int, racy: int | None) -> str:
-    """N processes idle -> wait -> crit -> idle around one lock; process
-    `racy` enters without testing the lock."""
-    lines = ["var lock: bool = false"]
-    for i in range(n):
-        guard = "" if i == racy else " when !lock"
-        lines += [f"process P{i} {{", f"  loc idle{i} init", f"  loc wait{i}",
-                  f"  loc crit{i}", f"  edge idle{i} -> wait{i}",
-                  f"  edge wait{i} -> crit{i}{guard} do lock := true",
-                  f"  edge crit{i} -> idle{i} do lock := false", "}"]
-    return "\n".join(lines) + "\n"
 
 
 def _semaphore_predicates(n: int) -> list[str]:
@@ -80,7 +69,7 @@ def _golden_models():
     for n in (3, 4, 5):
         for racy in (None, n - 2):
             name = f"sem{n}-{'racy' if racy is not None else 'correct'}"
-            yield name, (lambda n=n, racy=racy: parse_model(_semaphore_source(n, racy)),
+            yield name, (lambda n=n, racy=racy: parse_model(semaphore_source(n, racy)),
                          _semaphore_predicates(n))
     yield "peterson", (builtin_peterson, PETERSON_PREDICATES)
     yield "counter", (lambda: parse_model(COUNTER_SOURCE), COUNTER_PREDICATES)
@@ -143,6 +132,31 @@ class TestParseModel:
             assert "unknown location" in str(exc)
         else:
             pytest.fail("expected a syntax error")
+
+    @pytest.mark.parametrize("guard, column, message", [
+        ("b && x = 7", 25, "literal 7 outside x:int[0..1]"),
+        ("b || !(x = 0 && y)", 36, "variable 'y' is not boolean"),
+        ("x = 1 && b < b", 29, "operator < needs integer operands"),
+    ])
+    def test_guard_error_points_at_the_failing_atom(self, guard, column, message):
+        text = ("var b: bool = false\nvar x: int[0..1] = 0\nvar y: int[0..2] = 0\n"
+                f"process P {{\n  loc a init\n  edge a -> a when {guard}\n}}\n")
+        with pytest.raises(ModelSyntaxError) as exc:
+            parse_model(text)
+        assert (exc.value.line, exc.value.column) == (6, column)
+        assert str(exc.value) == f"line 6, column {column}: {message}"
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("process P {\n  loc true init\n}\n", 2, 7),
+        ("process P {\n  loc a init\n  loc false\n}\n", 3, 7),
+        ("var x: bool = false\nvar true: int[0..1] = 0\nprocess P { loc a init }\n", 2, 5),
+        ("var false: bool = false\nprocess P { loc a init }\n", 1, 5),
+        ("process true {\n  loc a init\n}\n", 1, 9),
+    ])
+    def test_literals_are_not_names(self, text, line, column):
+        with pytest.raises(ModelSyntaxError, match="is a literal, not a name") as exc:
+            parse_model(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
 
     @pytest.mark.parametrize("text,needle", [
         ("var x: int[1..0] = 1\nprocess P { loc a init }", "empty range"),

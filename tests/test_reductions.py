@@ -13,11 +13,19 @@ from reachproof import (
     canon,
     check_partial,
     eval_state_predicate,
+    expand,
+    parse_model,
     reachable,
     validate_safety_predicate,
 )
 
-from conftest import random_ars, random_subset
+from conftest import (
+    assert_same_system,
+    random_ars,
+    random_subset,
+    rebuilt_with_sink,
+    semaphore_source,
+)
 
 
 class TestValidateSafetyPredicate:
@@ -114,6 +122,30 @@ class TestBuildSafetyQuery:
     def test_no_error_states_is_safe(self, a1):
         qars, pred = build_safety_query(a1, p=(0,), e_raw=())
         assert check_partial(qars, pred).kind is VerdictKind.PARTIALLY_VALID
+
+
+@pytest.mark.parametrize("system, errors", [
+    ("peterson", "loc(P0)=crit0 && loc(P1)=crit1"),
+    ("sem3", "loc(P0)=crit0 && loc(P2)=crit2"),
+    ("sem3-racy", "loc(P1)=crit1 && loc(P2)=crit2"),
+])
+def test_augmentations_equal_a_full_rebuild(peterson, system, errors):
+    exp = peterson if system == "peterson" else expand(parse_model(
+        semaphore_source(3, 1 if system == "sem3-racy" else None)))
+    ars, e = exp.ars, eval_state_predicate(exp, errors)
+    assert e and not any(map(ars.is_normal_form, e))
+    err_ars, err = augment_error(ars, e)
+    assert err == ars.n
+    assert_same_system(err_ars, rebuilt_with_sink(ars, "error", e))
+    any_ars, anyid = augment_any(err_ars, (err,))
+    assert anyid == err_ars.n
+    assert_same_system(any_ars, rebuilt_with_sink(err_ars, "any", range(ars.n)))
+    qars, pred = build_safety_query(ars, exp.initial, e)
+    assert_same_system(qars, any_ars)
+    assert pred == AprPredicate(exp.initial, (anyid,))
+    # The base systems are untouched.
+    assert ars.n + 1 == err_ars.n and "error" not in ars.index and "any" not in err_ars.index
+    assert_same_system(ars, expand(exp.model).ars)
 
 
 def _exact_safety_instance(rng):
