@@ -62,10 +62,23 @@ class Ars:
             if not (0 <= src < n and 0 <= dst < n):
                 raise UnknownObjectError(f"edge ({src}, {dst}) outside object table of size {n}")
             succ_sets[src].add(dst)
+        self._set_table(labels, index, tuple(tuple(sorted(s)) for s in succ_sets))
+
+    @classmethod
+    def _from_table(cls, labels, index, succs) -> Ars:
+        """A system over a table its producer built, unchecked.  Trusted:
+        labels match `LABEL_RE` and are unique, `index` maps each to its id,
+        and successor tuples are sorted, duplicate-free and in range."""
+        new = object.__new__(cls)
+        new._set_table(labels, index, succs)
+        return new
+
+    def _set_table(self, labels, index, succs) -> None:
+        """Fill the slots and derive the normal forms, for every producer."""
         self.labels = labels
         self.index = index
-        self.succs: tuple[StateSet, ...] = tuple(tuple(sorted(s)) for s in succ_sets)
-        self.normal_forms: StateSet = tuple(i for i in range(n) if not self.succs[i])
+        self.succs = succs
+        self.normal_forms: StateSet = tuple(i for i, s in enumerate(succs) if not s)
         self._nf = frozenset(self.normal_forms)
 
     def with_sink(self, label: str, feeders: Iterable[int]) -> Ars:
@@ -86,14 +99,7 @@ class Ars:
         for s in feeders:
             succs[s] += (sink,)
         succs.append(EMPTY)
-        fed = set(feeders)
-        new = object.__new__(Ars)
-        new.labels = self.labels + (label,)
-        new.index = {**self.index, label: sink}
-        new.succs = tuple(succs)
-        new.normal_forms = tuple(s for s in self.normal_forms if s not in fed) + (sink,)
-        new._nf = frozenset(new.normal_forms)
-        return new
+        return Ars._from_table(self.labels + (label,), {**self.index, label: sink}, tuple(succs))
 
     @property
     def n(self) -> int:

@@ -30,11 +30,12 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
-from .ars import Ars, StateSet, canon
+from .ars import LABEL_RE, Ars, StateSet, canon
 
 Value = bool | int
 
@@ -562,13 +563,23 @@ class ModelState:
 
 @dataclass
 class Expansion:
-    """Expanded model: the system, the state table aligned with its ids,
-    and the canonical initial state set."""
+    """Expanded model: the system, its layout (each process's sorted
+    locations, and the valuations, in id order) and the initial states."""
 
     model: Model
     ars: Ars
-    states: tuple[ModelState, ...]
+    loc_axes: tuple[tuple[str, ...], ...]
+    valuations: tuple[tuple[Value, ...], ...]
     initial: StateSet
+
+    def _layout(self) -> Iterator[tuple[tuple[str, ...], tuple[Value, ...]]]:
+        """Every state's (locations, values), in id order."""
+        return itertools.product(itertools.product(*self.loc_axes), self.valuations)
+
+    @cached_property
+    def states(self) -> tuple[ModelState, ...]:
+        """The state table aligned with the ids, built on first access."""
+        return tuple(itertools.starmap(ModelState, self._layout()))
 
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -617,14 +628,14 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
         labels = [head + text for head in labels for text, _ in axis]
 
     n_procs = len(model.processes)
-    loc_axes = [[loc for _, loc in axis] for axis in axes[:n_procs]]
-    valuations = list(itertools.product(*([v for _, v in axis] for axis in axes[n_procs:])))
+    loc_axes = tuple(tuple(loc for _, loc in axis) for axis in axes[:n_procs])
+    valuations = tuple(itertools.product(*([v for _, v in axis] for axis in axes[n_procs:])))
     vindex = {values: vi for vi, values in enumerate(valuations)}
     nv = len(valuations)
     # The id step of each process's location digit.
     weight = [prod(map(len, loc_axes[pi + 1:])) * nv for pi in range(n_procs)]
 
-    edges: list[tuple[int, int]] = []
+    succ: list[set[int]] = [set() for _ in range(size)]
     # The first assignment to leave its domain, in (state, process, edge) order.
     first_error = None
     for pi, (proc, by_src, axis, w) in enumerate(zip(model.processes, moves, loc_axes, weight)):
@@ -649,29 +660,33 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
                         new_vals[pos] = value
                     else:
                         delta = step + vindex[tuple(new_vals)] - vi
-                        ids = [b + vi for b in bases]
-                        edges += zip(ids, [i + delta for i in ids])
+                        for b in bases:
+                            succ[b + vi].add(b + vi + delta)
     if first_error:
         *_, name, value, edge, proc_name = first_error
         raise DomainError(f"assignment {name} := {value} leaves its domain "
                           f"(edge {edge.src} -> {edge.dst} of {proc_name})")
-    ars = Ars(labels, edges)
-
-    states = tuple(itertools.starmap(ModelState, itertools.product(
-        itertools.product(*loc_axes), valuations)))
+    # The labels skip `Ars`'s checks: they are put together from declared
+    # identifiers, integer and bool literals and the characters `<`, `,`
+    # and `>`, all inside LABEL_RE, and the mixed-radix fields make them
+    # unique.  A hand-built model's location names are held to the same.
+    index = dict(zip(labels, range(size)))
+    if len(index) < size or not all(LABEL_RE.match(loc) for axis in loc_axes for loc in axis):
+        raise ModelError("location names do not make distinct valid state labels")
+    ars = Ars._from_table(tuple(labels), index, tuple(tuple(sorted(s)) for s in succ))
     initial = canon(
         sum(w * axis.index(loc) for w, axis, loc in zip(weight, loc_axes, locs)) + vindex[values]
         for locs, values in itertools.product(
             itertools.product(*(p.init_locations for p in model.processes)),
             itertools.product(*(v.init_values for v in model.variables))))
-    return Expansion(model, ars, states, initial)
+    return Expansion(model, ars, loc_axes, valuations, initial)
 
 
 def eval_state_predicate(expansion: Expansion, expr: str | tuple) -> StateSet:
-    """States of the expansion satisfying a state-predicate expression."""
+    """The states satisfying a state-predicate expression, in id order."""
     node = parse_state_expr(expr) if isinstance(expr, str) else expr
     test = _compile(expansion.model, node, allow_loc=True)
-    return canon(sid for sid, s in enumerate(expansion.states) if test(s.locs, s.values))
+    return tuple(sid for sid, state in enumerate(expansion._layout()) if test(*state))
 
 
 # ---------------------------------------------------------------------------

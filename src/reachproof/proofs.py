@@ -94,7 +94,6 @@ def applicable_rules(ars: Ars, pred: AprPredicate) -> list[RuleName]:
         raise ValueError("no rule applies to the bottom predicate")
     p = set(ars.check_members(pred.source))
     q = set(ars.check_members(pred.target))
-    nf = set(ars.normal_forms)
     rules = []
     if not p:
         rules.append(RuleName.AXIOM)
@@ -102,7 +101,7 @@ def applicable_rules(ars: Ars, pred: AprPredicate) -> list[RuleName]:
         rules.append(RuleName.SUBS)
     if not p & q and is_runnable(ars, pred.source):
         rules.append(RuleName.DER)
-    if not p & q and p and p & nf:
+    if not p & q and p and not ars._nf.isdisjoint(p):
         rules.append(RuleName.DIS)
     return rules
 
@@ -360,7 +359,7 @@ def validate_pre_proof(ars: Ars, pp: PreProof) -> ValidationReport:
                 if any(not kp.source for kp in kid_preds):
                     bad(v, "empty part in a Der split")
         elif rule is RuleName.DIS:
-            if p & q or not p or not p & set(ars.normal_forms):
+            if p & q or not p or ars._nf.isdisjoint(p):
                 bad(v, "Dis side condition violated")
             if len(kids) != 1 or not kid_preds or not kid_preds[0].is_bottom:
                 bad(v, "Dis premise must be the single bottom goal")
@@ -411,15 +410,9 @@ def proof_graph(pp: PreProof) -> ProofGraph:
     t = pp.tree
     open_leaves = set(t.open_leaves())
     vertices = tuple(v for v in t.preorder() if v not in open_leaves)
-    edges: list[tuple[int, int]] = []
-    edge_set: set[tuple[int, int]] = set()
-    for v in vertices:
-        for c in t.children.get(v, ()):
-            dst = pp.xi[c] if c in open_leaves else c
-            e = (v, dst)
-            if e not in edge_set:
-                edge_set.add(e)
-                edges.append(e)
+    # Keyed by edge, in first-seen order: parallel edges collapse.
+    edges = dict.fromkeys((v, pp.xi[c] if c in open_leaves else c)
+                          for v in vertices for c in t.children.get(v, ()))
     preds = {v: t.preds[v] for v in vertices}
     rules = {v: t.rules[v] for v in vertices if v in t.rules}
     return ProofGraph(vertices, preds, rules, tuple(edges))

@@ -126,17 +126,17 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
     rules: dict[int, RuleName] = {}
     children: dict[int, tuple[int, ...]] = {}
     xi: dict[int, int] = {}
-    companions: dict[AprPredicate, int] = {}
-    fold_sources: set[StateSet] = set()
+    # Every goal has the root's target, so a companion is keyed by its source.
+    companions: dict[StateSet, int] = {}
     queue = [0]
 
     for done, v in enumerate(queue):  # grows while walked: a FIFO queue of open goals
         pv = preds[v]
-        comp = companions.get(pv)
+        comp = companions.get(pv.source)
         if comp is not None:
             xi[v] = comp
             continue
-        rule, kid_preds = premises(ars, pv, cfg.strategy, fold_sources)
+        rule, kid_preds = premises(ars, pv, cfg.strategy, companions)
         rules[v] = rule
         kid_ids = []
         for kp in kid_preds:
@@ -152,8 +152,7 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
                 queue.append(w)
         children[v] = tuple(kid_ids)
         if rule is RuleName.DER:
-            companions[pv] = v
-            fold_sources.add(pv.source)
+            companions[pv.source] = v
 
     return PreProof(DerivationTree(preds, rules, children, 0), xi)
 
@@ -204,31 +203,20 @@ def extract_finite_counterexample(ars: Ars, disproof: PreProof) -> ExecutionPath
     reflexive steps contributed by ``Subs`` nodes.
     """
     t = disproof.tree
-    dis_nodes = sorted(v for v, r in t.rules.items() if r is RuleName.DIS)
-    if not dis_nodes:
+    node = min((v for v, r in t.rules.items() if r is RuleName.DIS), default=None)
+    if node is None:
         raise ValueError("pre-proof contains no Dis node")
-    target_node = dis_nodes[0]
     parents = t.parent_map()
-    path_nodes = [target_node]
-    while path_nodes[-1] != t.root:
-        path_nodes.append(parents[path_nodes[-1]])
-    path_nodes.reverse()
-
-    nf = set(ars.normal_forms)
-    stuck = min(s for s in t.preds[target_node].source if s in nf)
-    chain = [stuck]
-    for node in reversed(path_nodes[:-1]):
-        cur = chain[0]
+    chain = [min(s for s in t.preds[node].source if s in ars._nf)]
+    while node != t.root:
+        node = parents[node]
         if t.rules[node] is RuleName.DER:
+            cur = chain[-1]
             pred_state = min(s for s in t.preds[node].source if cur in ars.succs[s])
-            chain.insert(0, pred_state)
-        else:  # Subs: the chosen state survives the subtraction unchanged
-            chain.insert(0, cur)
-    steps = [chain[0]]
-    for s in chain[1:]:
-        if s != steps[-1]:
-            steps.append(s)
-    return ExecutionPath(tuple(steps), is_maximal=True)
+            if pred_state != cur:
+                chain.append(pred_state)
+        # Subs: the chosen state survives the subtraction unchanged.
+    return ExecutionPath(tuple(reversed(chain)), is_maximal=True)
 
 
 def extract_lasso(ars: Ars, pred: AprPredicate) -> Lasso:

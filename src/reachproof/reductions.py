@@ -42,16 +42,14 @@ def validate_safety_predicate(ars: Ars, p, q, e) -> SafetyCheckReport:
     p = ars.check_members(p)
     q = ars.check_members(q)
     e = ars.check_members(e)
-    nf = set(ars.normal_forms)
+    nf = ars._nf
     bad_e = [s for s in e if s not in nf]
     if bad_e:
         labels = ", ".join(ars.labels[s] for s in bad_e)
         raise ArsError(
             f"error states must be irreducible (got {labels}); apply augment_error first")
-    disjoint_offenders = canon(set(q) & set(e))
-    reach = set(reachable(ars, p))
-    must_cover = [t for t in nf if t in reach and t not in set(e)]
-    covers_offenders = canon(t for t in must_cover if t not in set(q))
+    disjoint_offenders = canon(set(q).intersection(e))
+    covers_offenders = canon(set(reachable(ars, p)).intersection(nf).difference(e, q))
     irr_offenders = canon(t for t in q if t not in nf)
     return SafetyCheckReport(
         disjoint_ok=not disjoint_offenders,

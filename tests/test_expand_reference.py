@@ -5,23 +5,37 @@ renders every state, sorts the labels and interns the states by their
 `(locations, values)` tuples, then evaluates every edge in every state.
 `expand` computes the same ids as mixed-radix numbers and evaluates each
 edge once per valuation; the two must agree on everything they return and
-on the first domain error they report.
+on the first domain error they report.  State predicates are checked
+against a filter over the reference's states.
 """
 
 import itertools
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reachproof import Ars, canon, expand, parse_model, render_ars
+from reachproof import (
+    Ars,
+    Model,
+    ModelError,
+    canon,
+    eval_state_predicate,
+    expand,
+    parse_model,
+    render_ars,
+)
 from reachproof.modeling import (
     DomainError,
     ModelState,
+    ProcessDecl,
     _compile,
     _compile_assign,
+    parse_state_expr,
 )
+
+from conftest import assert_same_system
 
 
 def _render_state(state: ModelState) -> str:
@@ -86,7 +100,7 @@ def assert_matches_reference(text: str) -> None:
         return
     got = expand(model)
     assert render_ars(got.ars) == render_ars(want_ars)
-    assert got.ars == want_ars
+    assert_same_system(got.ars, want_ars)
     assert got.initial == want_initial
     assert got.states == want_states
 
@@ -112,13 +126,17 @@ def _lit(v) -> str:
 
 
 @st.composite
-def _atom(draw, variables):
+def _atom(draw, variables, processes=()):
     bools = [name for name, d in variables if d is None]
     ints = [(name, d) for name, d in variables if d is not None]
-    kinds = ["const"] + ["bool"] * bool(bools) + ["int"] * bool(ints)
+    kinds = ["const"] + ["bool"] * bool(bools) + ["int"] * bool(ints) + ["loc"] * bool(processes)
     kind = draw(st.sampled_from(kinds))
     if kind == "const":
         return draw(st.sampled_from(["true", "false"]))
+    if kind == "loc":
+        proc = draw(st.sampled_from(processes))
+        op = draw(st.sampled_from(["=", "!="]))
+        return f"loc({proc.name}) {op} {draw(st.sampled_from(proc.locations))}"
     if kind == "bool":
         name = draw(st.sampled_from(bools))
         other = draw(st.sampled_from(bools + ["true", "false"]))
@@ -132,8 +150,9 @@ def _atom(draw, variables):
 
 
 @st.composite
-def _guard(draw, variables):
-    atoms = draw(st.lists(_atom(variables), min_size=1, max_size=3))
+def _guard(draw, variables, processes=()):
+    """A guard, or with `processes` a state predicate, over `variables`."""
+    atoms = draw(st.lists(_atom(variables, processes), min_size=1, max_size=3))
     text = atoms[0]
     for atom in atoms[1:]:
         text += draw(st.sampled_from([" && ", " || "])) + atom
@@ -243,6 +262,30 @@ def several_domain_errors(p_guard: str = "y > 6", q_edges: tuple[int, int] = (0,
 @example(several_domain_errors(q_edges=(1, 0)))
 def test_expand_matches_sort_by_label_reference(text):
     assert_matches_reference(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_models(), st.data())
+def test_state_predicates_match_a_filter_over_the_reference(text, data):
+    model = parse_model(text)
+    try:
+        _, want_states, _ = reference_expand(model)
+    except DomainError:
+        assume(False)
+    expansion = expand(model)
+    variables = [(v.name, None if v.is_bool else (v.lo, v.hi)) for v in model.variables]
+    for _ in range(3):
+        expr = data.draw(_guard(variables, model.processes))
+        test = _compile(model, parse_state_expr(expr), allow_loc=True)
+        want = canon(sid for sid, s in enumerate(want_states) if test(s.locs, s.values))
+        assert eval_state_predicate(expansion, expr) == want, expr
+
+
+@pytest.mark.parametrize("locations", [("a", "a"), ("a b", "c")])
+def test_hand_built_locations_must_make_distinct_valid_labels(locations):
+    model = Model((), (ProcessDecl("P", locations, locations[:1], ()),))
+    with pytest.raises(ModelError, match="distinct valid state labels"):
+        expand(model)
 
 
 def test_field_order_follows_the_separator():
