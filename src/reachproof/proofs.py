@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Container, Iterable, Iterator
+from itertools import filterfalse
+from typing import AbstractSet, Callable, Container, Iterable, Iterator
 
-from .ars import Ars, ArsError, StateSet, canon, cyclic_sccs, derivative, is_runnable
+from .ars import Ars, ArsError, StateSet, canon, cyclic_sccs, derivative, image, is_runnable
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,29 @@ def predicate(source: Iterable[int], target: Iterable[int]) -> AprPredicate:
 
 
 def format_predicate(ars: Ars, pred: AprPredicate) -> str:
-    if pred.is_bottom:
-        return "BOT"
-    src = ",".join(ars.labels[i] for i in pred.source)
-    tgt = ",".join(ars.labels[i] for i in pred.target)
-    return f"{{{src}}} => {{{tgt}}}"
+    return predicate_formatter(ars)(pred)
+
+
+def predicate_formatter(ars: Ars, escape: Callable[[str], str] = str
+                        ) -> Callable[[AprPredicate], str]:
+    """`format_predicate` for the many goals of one output, passed through
+    `escape` (which must act character by character).  The goals of a
+    proof share the root's target tuple, so the rendered and escaped target
+    is kept until a goal brings another tuple: once per output, not once
+    per goal."""
+    label = ars.labels.__getitem__
+    target: StateSet | None = None
+    tail = ""
+
+    def fmt(pred: AprPredicate) -> str:
+        nonlocal target, tail
+        if pred.is_bottom:
+            return "BOT"
+        if pred.target is not target:
+            target = pred.target
+            tail = escape("} => {" + ",".join(map(label, target)) + "}")
+        return "{" + escape(",".join(map(label, pred.source))) + tail
+    return fmt
 
 
 class RuleName(Enum):
@@ -106,13 +125,16 @@ def applicable_rules(ars: Ars, pred: AprPredicate) -> list[RuleName]:
     return rules
 
 
-def applicable_rule(ars: Ars, pred: AprPredicate) -> RuleName:
+def applicable_rule(ars: Ars, pred: AprPredicate,
+                    target_set: AbstractSet[int] | None = None) -> RuleName:
     """The unique rule applicable to a canonical non-bottom goal.
 
-    Costs one pass over the source and the target, whatever the proof
-    around the goal: because both are canonical, ids are range-checked at
-    the ends of each tuple, and the overlap and the normal-form hit are
-    ``set.isdisjoint`` tests.  Out-of-table ids raise UnknownObjectError.
+    Costs one pass over the source, whatever the proof around the goal:
+    because both sets are canonical, ids are range-checked at the ends of
+    each tuple, and the overlap and the normal-form hit are
+    ``isdisjoint`` tests.  `target_set` is ``set(pred.target)`` when the
+    caller already holds it, and is built here otherwise.  Out-of-table ids
+    raise UnknownObjectError.
     """
     if pred.is_bottom:
         raise ValueError("no rule applies to the bottom predicate")
@@ -121,7 +143,9 @@ def applicable_rule(ars: Ars, pred: AprPredicate) -> RuleName:
     for ids in (p, pred.target):
         if ids and (ids[0] < 0 or ids[-1] >= n):
             ars.check_members(ids)  # raises, naming the bad ids
-    overlap = not set(pred.target).isdisjoint(p)
+    if target_set is None:
+        target_set = frozenset(pred.target)
+    overlap = not target_set.isdisjoint(p)
     stuck = not ars._nf.isdisjoint(p)
     # Side conditions in RuleName order: Axiom, Subs, Der, Dis.
     holds = (not p, overlap, bool(p) and not overlap and not stuck,
@@ -134,41 +158,43 @@ def premises(
     ars: Ars,
     pred: AprPredicate,
     strategy: SplitStrategy = SplitStrategy.EAGER,
-    fold_sources: Container[StateSet] = (),
+    fold_states: Container[int] = (),
+    target_set: AbstractSet[int] | None = None,
 ) -> tuple[RuleName, list[AprPredicate]]:
     """Apply the unique rule to the canonical goal `pred` and return its
-    child goals, which are canonical again.
+    child goals, which are canonical again and share the parent's target.
 
-    `fold_sources` holds the source sets of companions currently available
-    to the caller (same target as `pred`); the eager strategy splits those
-    states off as singleton children so they can close as buds.  It is only
+    `fold_states` holds the states whose singleton goal (with the target of
+    `pred`) is a companion available to the caller; the eager strategy
+    splits those states of a ``Der`` result off as singleton children, in
+    id order and ahead of the rest, so they close as buds.  It is only
     tested with ``in``, never copied or iterated, so the cost of a call
-    does not grow with the proof around it.  Children always share the
-    parent's target.  No child is empty except the single ``Subs`` child
-    of a goal whose source is already contained in the target.
+    does not grow with the proof around it.  `target_set` is
+    ``set(pred.target)``: a caller proving many goals with one target
+    builds it once, and it is built here when omitted.  Each step is a few
+    passes in C over the source and its image.  No child is empty except
+    the single ``Subs`` child of a goal whose source is already contained
+    in the target.
     """
-    rule = applicable_rule(ars, pred)
+    if target_set is None:
+        target_set = frozenset(pred.target)
+    rule = applicable_rule(ars, pred, target_set)
     p, q = pred.source, pred.target
     if rule is RuleName.AXIOM:
         return rule, []
     if rule is RuleName.SUBS:
-        qs = set(q)
-        return rule, [AprPredicate(tuple(s for s in p if s not in qs), q)]
+        return rule, [AprPredicate(tuple(filterfalse(target_set.__contains__, p)), q)]
     if rule is RuleName.DIS:
         return rule, [BOTTOM]
-    succ_union: set[int] = set()
-    for s in p:
-        succ_union.update(ars.succs[s])
-    deriv = tuple(sorted(succ_union))
+    deriv = tuple(sorted(image(ars, p)))
     if strategy is SplitStrategy.MONOLITHIC:
         return rule, [AprPredicate(deriv, q)]
-    matched: list[int] = []
-    rest: list[int] = []
-    for t in deriv:
-        (matched if (t,) in fold_sources else rest).append(t)
-    parts = [AprPredicate((t,), q) for t in matched]
-    if rest:
-        parts.append(AprPredicate(tuple(rest), q))
+    folded = tuple(filter(fold_states.__contains__, deriv))
+    if not folded:
+        return rule, [AprPredicate(deriv, q)]
+    parts = [AprPredicate((t,), q) for t in folded]
+    if len(folded) < len(deriv):
+        parts.append(AprPredicate(tuple(filterfalse(fold_states.__contains__, deriv)), q))
     return rule, parts
 
 
@@ -482,13 +508,14 @@ def _dot_escape(text: str) -> str:
 def to_dot(ars: Ars, g: ProofGraph, name: str = "proof") -> str:
     """Render the proof graph as deterministic DOT (byte-for-byte stable)."""
     order = {v: i for i, v in enumerate(g.vertices)}
+    fmt = predicate_formatter(ars, _dot_escape)
     lines = [f"digraph {name} {{"]
     for v in g.vertices:
         pred = g.predicates[v]
         if pred.is_bottom:
             lines.append(f'  n{order[v]} [label="BOT", shape=doublecircle];')
         else:
-            lines.append(f'  n{order[v]} [label="{_dot_escape(format_predicate(ars, pred))}"];')
+            lines.append(f'  n{order[v]} [label="{fmt(pred)}"];')
     for a, b in g.edges:
         lines.append(f'  n{order[a]} -> n{order[b]} [label="{g.rules[a]}"];')
     lines.append("}")

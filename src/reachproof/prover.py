@@ -126,8 +126,12 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
     rules: dict[int, RuleName] = {}
     children: dict[int, tuple[int, ...]] = {}
     xi: dict[int, int] = {}
-    # Every goal has the root's target, so a companion is keyed by its source.
+    # Every goal has the root's target, so a companion is keyed by its
+    # source, the target is one set for the whole query, and the eager
+    # split needs only the states whose singleton goal is a companion.
     companions: dict[StateSet, int] = {}
+    fold_states: set[int] = set()
+    target_set = frozenset(pred.target)
     queue = [0]
 
     for done, v in enumerate(queue):  # grows while walked: a FIFO queue of open goals
@@ -136,7 +140,7 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
         if comp is not None:
             xi[v] = comp
             continue
-        rule, kid_preds = premises(ars, pv, cfg.strategy, companions)
+        rule, kid_preds = premises(ars, pv, cfg.strategy, fold_states, target_set)
         rules[v] = rule
         kid_ids = []
         for kp in kid_preds:
@@ -153,6 +157,8 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
         children[v] = tuple(kid_ids)
         if rule is RuleName.DER:
             companions[pv.source] = v
+            if len(pv.source) == 1:
+                fold_states.add(pv.source[0])
 
     return PreProof(DerivationTree(preds, rules, children, 0), xi)
 

@@ -413,3 +413,19 @@ def test_query_banners_and_command_field(capsys, tmp_path, a1_file):
         paths = _query_paths(tmp_path, a1_file)
         _, out, _ = run(capsys, *(arg.format(**paths) for arg in argv[name]), "--json")
         assert json.loads(out)["command"] == command
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, tmp_path, a1_file):
+    # main() builds its parser once per process; usage errors in between
+    # must leave it answering every later call as a freshly built one does.
+    usage_errors = [["check", "--mode", "sideways"], ["frobnicate"], ["liveness", "--from", "a"]]
+    calls = [argv for i, (_, query) in enumerate(GOLDEN_QUERIES)
+             for argv in (query, usage_errors[i % len(usage_errors)])]
+    assert cli.build_parser() is cli.build_parser()
+    reused = [_query_output(capsys, tmp_path, a1_file, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_query_output(capsys, tmp_path, a1_file, argv))
+    assert reused == fresh
+    assert [out.split("\n", 1)[0] for out in reused[1::2]] == ["2"] * len(GOLDEN_QUERIES)

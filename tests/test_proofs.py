@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from reachproof import (
@@ -24,7 +24,12 @@ from reachproof import (
     to_dot,
     validate_pre_proof,
 )
-from reachproof.proofs import applicable_rules, format_predicate, graph_violations
+from reachproof.proofs import (
+    applicable_rules,
+    format_predicate,
+    graph_violations,
+    predicate_formatter,
+)
 
 from conftest import random_ars, random_subset
 from test_ars import ars_and_sets
@@ -130,14 +135,14 @@ class MembershipOnly:
         return item in self.items
 
     def __iter__(self):
-        raise AssertionError("fold_sources was iterated")
+        raise AssertionError("fold_states was iterated")
 
 
 class TestPremises:
     def test_fold_sources_only_tested_with_in(self, a1):
         q = a1.ids_of(["c", "d"])
         rule, kids = premises(a1, AprPredicate((1,), q), SplitStrategy.EAGER,
-                              fold_sources=MembershipOnly([(0,)]))
+                              fold_states=MembershipOnly([0]))
         assert rule is RuleName.DER
         assert kids == [AprPredicate((0,), q), AprPredicate((2,), q)]
 
@@ -145,7 +150,7 @@ class TestPremises:
         # In-proof context: the goal for {a} is already a companion.
         q = a1.ids_of(["c", "d"])
         rule, kids = premises(a1, AprPredicate((1,), q), SplitStrategy.EAGER,
-                              fold_sources=[(0,)])
+                              fold_states=[0])
         assert rule is RuleName.DER
         assert kids == [AprPredicate((0,), q), AprPredicate((2,), q)]
 
@@ -190,6 +195,76 @@ class TestPremises:
             elif rule is RuleName.DER:
                 assert canon(union) == derivative(ars, p)
                 assert all(k.source for k in kids)
+
+
+def reference_premises(ars, pred, strategy, fold_sources):
+    """`premises` as a loop over single states, with the fold test on
+    companion source tuples: the result the set-at-a-time steps must equal."""
+    (rule,) = applicable_rules(ars, pred)
+    p, q = pred.source, pred.target
+    if rule is RuleName.AXIOM:
+        return rule, []
+    if rule is RuleName.SUBS:
+        qs = set(q)
+        return rule, [AprPredicate(tuple(s for s in p if s not in qs), q)]
+    if rule is RuleName.DIS:
+        return rule, [BOTTOM]
+    succ_union = set()
+    for s in p:
+        succ_union.update(ars.succs[s])
+    deriv = tuple(sorted(succ_union))
+    if strategy is SplitStrategy.MONOLITHIC:
+        return rule, [AprPredicate(deriv, q)]
+    matched, rest = [], []
+    for t in deriv:
+        (matched if (t,) in fold_sources else rest).append(t)
+    parts = [AprPredicate((t,), q) for t in matched]
+    if rest:
+        parts.append(AprPredicate(tuple(rest), q))
+    return rule, parts
+
+
+@st.composite
+def goals_for_each_rule(draw, max_states=40):
+    """A system, a goal whose applicable rule is drawn first, a fold set and
+    the sources of some other companions."""
+    n = draw(st.integers(1, max_states))
+    succs = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n))
+    ars = Ars([f"s{i}" for i in range(n)], [(s, t) for s in range(n) for t in succs[s]])
+    # Each state in with probability one half, so sets are not all tiny.
+    subset = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: tuple(i for i, bit in enumerate(bits) if bit))
+    rule = draw(st.sampled_from(RuleName))
+    q = draw(subset)
+    free = [s for s in range(n) if s not in q]
+    stuck = [s for s in free if ars.is_normal_form(s)]
+    runnable = [s for s in free if not ars.is_normal_form(s)]
+    if rule is RuleName.AXIOM:
+        p = ()
+    elif rule is RuleName.SUBS:
+        assume(q)
+        p = canon(draw(subset) + (draw(st.sampled_from(q)),))
+    elif rule is RuleName.DER:
+        assume(runnable)
+        p = canon(draw(st.lists(st.sampled_from(runnable), min_size=1)))
+    else:
+        assume(stuck)
+        p = canon(draw(st.lists(st.sampled_from(free))) + [draw(st.sampled_from(stuck))])
+    return ars, AprPredicate(p, q), rule, draw(subset), draw(st.lists(subset, max_size=4))
+
+
+@given(goals_for_each_rule())
+def test_premises_matches_the_per_state_reference(case):
+    ars, pred, rule, fold, others = case
+    fold_sources = {(t,) for t in fold} | set(others)
+    # Companions with other than one source state never take part in a split.
+    fold_states = set(fold) | {s[0] for s in others if len(s) == 1}
+    for strategy in SplitStrategy:
+        want = reference_premises(ars, pred, strategy, fold_sources)
+        assert want[0] is rule
+        for target_set in (None, frozenset(pred.target)):
+            assert applicable_rule(ars, pred, target_set) is rule
+            assert premises(ars, pred, strategy, fold_states, target_set) == want
 
 
 class TestValidation:
@@ -312,6 +387,17 @@ digraph proof {
 
     def test_format_predicate(self, a1):
         assert format_predicate(a1, predicate((0,), (2, 3))) == "{a} => {c,d}"
+
+    def test_formatter_renders_each_goal_like_format_predicate(self, a1):
+        # Equal targets in distinct tuples, a change of target, and bottom.
+        goals = [predicate((0,), (2, 3)), predicate((1, 3), (2, 3)), BOTTOM,
+                 predicate((), (1,)), predicate((0, 1), (2, 3))]
+
+        def escape(text):
+            return text.replace(",", ";")
+
+        fmt = predicate_formatter(a1, escape)
+        assert [fmt(g) for g in goals] == [escape(format_predicate(a1, g)) for g in goals]
 
 
 def _reach(succs, starts) -> set:
