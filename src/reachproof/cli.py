@@ -178,17 +178,13 @@ def _run_query(args, command: str, ars: Ars, pred: AprPredicate, mode: str,
     return report, verd
 
 
-def _emit_proof(ars: Ars, verd: Verdict | None, path: str) -> None:
-    if verd is None:
-        raise UsageError("--emit-proof requires the prover engine")
+def _emit_proof(ars: Ars, verd: Verdict, path: str) -> None:
     dot = to_dot(ars, verd.graph)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dot)
 
 
-def _emit_trace(ars: Ars, verd: Verdict | None, path: str) -> None:
-    if verd is None:
-        raise UsageError("--emit-trace requires the prover engine")
+def _emit_trace(ars: Ars, verd: Verdict, path: str) -> None:
     t = verd.pre_proof.tree
     xi = verd.pre_proof.xi
     # Proof trees are as deep as the longest run they follow, so the walk
@@ -241,6 +237,9 @@ def cmd_query(args) -> int:
     command = "check" if args.cmd == "export" else args.cmd
     if args.cmd == "export" and not args.emit_proof and not args.emit_trace:
         raise UsageError("export needs --emit-proof and/or --emit-trace")
+    if args.engine == "oracle" and (args.emit_proof or args.emit_trace):
+        flag = "--emit-proof" if args.emit_proof else "--emit-trace"
+        raise UsageError(f"{flag} requires the prover engine")
     started = time.perf_counter()
     ars, expansion = _load_input(args)
     source = _resolve_set(ars, expansion, args.source)
@@ -250,12 +249,13 @@ def cmd_query(args) -> int:
     else:
         pred = AprPredicate(source, target)
     report, verd = _run_query(args, command, ars, pred, spec.mode or args.mode, started)
-    if spec.banner and not args.json:
-        print(spec.banner[not report.holds])
+    # Artifacts first: a run that fails to write one exits 2 with no output.
     if args.emit_proof:
         _emit_proof(ars, verd, args.emit_proof)
     if args.emit_trace:
         _emit_trace(ars, verd, args.emit_trace)
+    if spec.banner and not args.json:
+        print(spec.banner[not report.holds])
     if args.json:
         print(report_to_json(report))
         return 0 if report.holds else 1

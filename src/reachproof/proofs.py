@@ -218,11 +218,9 @@ class DerivationTree:
     def node_count(self) -> int:
         return len(self.preds)
 
-    def is_open_leaf(self, v: int) -> bool:
-        return v not in self.children and not self.preds[v].is_bottom
-
     def open_leaves(self) -> list[int]:
-        return [v for v in range(len(self.preds)) if self.is_open_leaf(v)]
+        return [v for v, p in enumerate(self.preds)
+                if v not in self.children and not p.is_bottom]
 
     def preorder(self) -> Iterator[int]:
         stack = [self.root]
@@ -240,28 +238,19 @@ class PreProof:
     """A derivation tree plus bud->companion links.
 
     `xi` maps open leaves to non-open nodes carrying the identical
-    predicate and ruled by ``Der``.
+    predicate and ruled by ``Der``.  It is closed when every open leaf is
+    a bud, that is, a key of `xi`.
     """
 
     tree: DerivationTree
     xi: dict[int, int] = field(default_factory=dict)
 
     @property
-    def buds(self) -> list[int]:
-        return sorted(self.xi)
-
-    def is_closed(self) -> bool:
-        return all(v in self.xi for v in self.tree.open_leaves())
-
-    def has_dis(self) -> bool:
-        return any(r is RuleName.DIS for r in self.tree.rules.values())
-
-    @property
     def classification(self) -> str:
         """'disproof' (a Dis node exists), 'proof' (closed, no Dis), or 'open'."""
-        if self.has_dis():
+        if RuleName.DIS in self.tree.rules.values():
             return "disproof"
-        if self.is_closed():
+        if all(v in self.xi for v in self.tree.open_leaves()):
             return "proof"
         return "open"
 
@@ -421,27 +410,27 @@ class ProofGraph:
     Vertices are the tree's non-open nodes in preorder; an edge leads from
     a node to each child, with bud children redirected to their companions.
     Every edge is labeled (via `rules`) by the rule of its source vertex.
+    `predicates` and `rules` are the tree's own tables, indexed by node id;
+    `predicates` also holds the buds, which are not vertices.
     """
 
     vertices: tuple[int, ...]
-    predicates: dict[int, AprPredicate]
+    predicates: list[AprPredicate]
     rules: dict[int, RuleName]
     edges: tuple[tuple[int, int], ...]
 
 
 def proof_graph(pp: PreProof) -> ProofGraph:
     """Build the proof graph of a closed pre-proof (deterministic order)."""
-    if not pp.is_closed():
-        raise ValueError("proof graph requires a closed pre-proof")
     t = pp.tree
     open_leaves = set(t.open_leaves())
+    if not open_leaves <= pp.xi.keys():
+        raise ValueError("proof graph requires a closed pre-proof")
     vertices = tuple(v for v in t.preorder() if v not in open_leaves)
     # Keyed by edge, in first-seen order: parallel edges collapse.
     edges = dict.fromkeys((v, pp.xi[c] if c in open_leaves else c)
                           for v in vertices for c in t.children.get(v, ()))
-    preds = {v: t.preds[v] for v in vertices}
-    rules = {v: t.rules[v] for v in vertices if v in t.rules}
-    return ProofGraph(vertices, preds, rules, tuple(edges))
+    return ProofGraph(vertices, t.preds, t.rules, tuple(edges))
 
 
 def is_acyclic(g: ProofGraph) -> bool:
@@ -505,11 +494,11 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(ars: Ars, g: ProofGraph, name: str = "proof") -> str:
+def to_dot(ars: Ars, g: ProofGraph) -> str:
     """Render the proof graph as deterministic DOT (byte-for-byte stable)."""
     order = {v: i for i, v in enumerate(g.vertices)}
     fmt = predicate_formatter(ars, _dot_escape)
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph proof {"]
     for v in g.vertices:
         pred = g.predicates[v]
         if pred.is_bottom:

@@ -13,6 +13,7 @@ dug out of the target-avoiding region.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -164,40 +165,42 @@ def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreP
 
 
 def stats_of(pp: PreProof) -> ProofStats:
-    counts = {r.value: 0 for r in RuleName}
-    for rule in pp.tree.rules.values():
-        counts[rule.value] += 1
-    return ProofStats(nodes=pp.tree.node_count, buds=len(pp.xi), rule_counts=counts)
-
-
-def _verdict(kind: VerdictKind, pp: PreProof, witness: Witness | None) -> Verdict:
-    graph = proof_graph(pp)
-    return Verdict(kind, pp, witness, stats_of(pp), graph, is_acyclic(graph))
+    counts = Counter(pp.tree.rules.values())
+    return ProofStats(nodes=pp.tree.node_count, buds=len(pp.xi),
+                      rule_counts={r.value: counts[r] for r in RuleName})
 
 
 def check_partial(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
-    """Decide whether every finite run from the source reaches the target."""
+    """Decide whether every finite run from the source reaches the target.
+
+    The pre-proof is a disproof exactly when it holds a ``Dis`` node, and
+    then a finite counterexample is read off it.
+    """
     pp = prove(ars, pred, cfg)
-    if pp.classification == "disproof":
-        witness = FinitePath(extract_finite_counterexample(ars, pp))
-        return _verdict(VerdictKind.NOT_PARTIALLY_VALID, pp, witness)
-    return _verdict(VerdictKind.PARTIALLY_VALID, pp, None)
+    stats = stats_of(pp)
+    graph = proof_graph(pp)
+    if stats.rule_counts[RuleName.DIS.value]:
+        kind = VerdictKind.NOT_PARTIALLY_VALID
+        witness: Witness | None = FinitePath(extract_finite_counterexample(ars, pp))
+    else:
+        kind, witness = VerdictKind.PARTIALLY_VALID, None
+    return Verdict(kind, pp, witness, stats, graph, is_acyclic(graph))
 
 
 def check_total(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
     """Decide whether every run, finite or infinite, reaches the target.
 
-    A single proof suffices: whenever the predicate is totally valid, the
-    proof graph of any proof for it is acyclic, so no alternative proof
-    search is ever needed.
+    This is `check_partial` plus the cycle test on its proof graph: a
+    disproof keeps its finite counterexample, an acyclic proof is totally
+    valid, and a cyclic one yields a lasso.  A single proof suffices:
+    whenever the predicate is totally valid, the proof graph of any proof
+    for it is acyclic, so no alternative proof search is ever needed.
     """
-    pp = prove(ars, pred, cfg)
-    if pp.classification == "disproof":
-        witness: Witness = FinitePath(extract_finite_counterexample(ars, pp))
-        return _verdict(VerdictKind.NOT_TOTALLY_VALID, pp, witness)
-    verdict = _verdict(VerdictKind.TOTALLY_VALID, pp, None)
+    verdict = check_partial(ars, pred, cfg)
+    if verdict.witness is not None:
+        return replace(verdict, kind=VerdictKind.NOT_TOTALLY_VALID)
     if verdict.acyclic:
-        return verdict
+        return replace(verdict, kind=VerdictKind.TOTALLY_VALID)
     return replace(verdict, kind=VerdictKind.NOT_TOTALLY_VALID, witness=extract_lasso(ars, pred))
 
 

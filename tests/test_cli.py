@@ -1,9 +1,13 @@
 import hashlib
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reachproof import cli
 from reachproof.cli import main, report_from_json, report_to_json
@@ -304,20 +308,44 @@ class TestExpandExport:
         assert code == 2
 
     def test_emit_proof_rejected_for_oracle(self, capsys, a1_file, tmp_path):
-        code, _, err = run(capsys, "check", "--ars", a1_file, "--engine", "oracle",
-                           "--source", "a", "--target", "c,d",
-                           "--emit-proof", str(tmp_path / "x.dot"))
+        code, out, err = run(capsys, "check", "--ars", a1_file, "--engine", "oracle",
+                             "--source", "a", "--target", "c,d",
+                             "--emit-proof", str(tmp_path / "x.dot"))
         assert code == 2
         assert "prover engine" in err
+        assert out == ""
+        # Rejected before any input is read: no verdict, no artifact, and
+        # a missing input file is never opened.
+        for argv, flag in [
+            (["check", "--ars", a1_file, "--source", "a", "--target", "c,d",
+              "--emit-trace", str(tmp_path / "x.txt")], "--emit-trace"),
+            (["safety", "--builtin", "peterson", "--from", PETERSON_FROM,
+              "--error", PETERSON_ERROR, "--emit-proof", str(tmp_path / "x.dot")],
+             "--emit-proof"),
+            (["liveness", "--ars", str(tmp_path / "missing.ars"), "--from", "a",
+              "--goal", "c", "--emit-trace", str(tmp_path / "x.txt")], "--emit-trace"),
+        ]:
+            code, out, err = run(capsys, *argv, "--engine", "oracle")
+            assert (code, out, err) == (2, "", f"error: {flag} requires the prover engine\n")
+        assert list(tmp_path.glob("x.*")) == []
 
     def test_unwritable_emit_path(self, capsys, a1_file, tmp_path):
-        code, _, _ = run(capsys, "check", "--ars", a1_file,
-                         "--source", "a", "--target", "c,d",
-                         "--emit-proof", str(tmp_path / "no" / "dir" / "x.dot"))
+        code, out, _ = run(capsys, "check", "--ars", a1_file,
+                           "--source", "a", "--target", "c,d",
+                           "--emit-proof", str(tmp_path / "no" / "dir" / "x.dot"))
         assert code == 2
+        assert out == ""
+        for flag in ("--emit-proof", "--emit-trace"):
+            for json_flag in ([], ["--json"]):
+                code, out, err = run(capsys, "safety", "--builtin", "peterson",
+                                     "--from", PETERSON_FROM, "--error", PETERSON_ERROR,
+                                     flag, str(tmp_path / "no" / "dir" / "x"), *json_flag)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: ")
 
 
 PETERSON_FROM = "loc(P0)=noncrit0 && loc(P1)=noncrit1 && b0=false && b1=false"
+PETERSON_ERROR = "loc(P0)=crit0 && loc(P1)=crit1"
 # (name, argv) of every query subcommand, in text and --json form; "{a1}"
 # stands for the path of the worked four-object system.
 GOLDEN_QUERIES = [
@@ -429,3 +457,108 @@ def test_reused_parser_answers_like_a_fresh_one(capsys, tmp_path, a1_file):
         fresh.append(_query_output(capsys, tmp_path, a1_file, argv))
     assert reused == fresh
     assert [out.split("\n", 1)[0] for out in reused[1::2]] == ["2"] * len(GOLDEN_QUERIES)
+
+
+# Random inputs for the robustness test.  Models and systems are drawn
+# mostly well formed, from the DSL's and the file format's own pieces over
+# a few fixed names, so that many runs reach a verdict; a third of them is
+# then cut or spliced.  Sets are state expressions, label lists or junk.
+_LOCS = {"P0": ("a0", "a1", "a2"), "P1": ("c0", "c1", "c2")}
+_GUARD_ATOMS = st.one_of(
+    st.sampled_from(["b", "true", "b = false", "b != true"]),
+    st.tuples(st.just("x"), st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+              st.sampled_from(["x", "0", "1", "2"])).map(" ".join),
+)
+_LOC_ATOMS = st.sampled_from([f"loc({p})={loc}" for p in ("P0", "P1") for loc in ("a0", "a1", "c1")])
+
+
+def _exprs(atoms: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.recursive(atoms, lambda inner: st.one_of(
+        inner.map(lambda e: f"!{e}"), inner.map(lambda e: f"({e})"),
+        st.tuples(inner, st.sampled_from([" && ", " || "]), inner).map("".join)),
+        max_leaves=5)
+
+
+_GUARDS = _exprs(_GUARD_ATOMS)
+_PREDICATES = _exprs(st.one_of(_GUARD_ATOMS, _LOC_ATOMS))
+_ASSIGNS = st.sampled_from(["x := x", "x := 0", "x := 1", "b := b", "b := true", "b := false"])
+
+
+def _spliced(text: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    cut = st.tuples(st.integers(0, 300), st.integers(0, 6),
+                    st.sampled_from(["", "{", "}", " -> ", "\n", "#", ":=", "é", "\x00"]))
+    return st.tuples(text, st.one_of(st.none(), st.none(), cut)).map(
+        lambda t: t[0] if t[1] is None
+        else t[0][:t[1][0]] + t[1][2] + t[0][t[1][0] + t[1][1]:])
+
+
+@st.composite
+def _model_texts(draw) -> str:
+    lines = []
+    lo = draw(st.integers(-1, 1))
+    hi = lo + draw(st.integers(0, 3))
+    init = " | ".join(map(str, draw(st.sets(st.integers(lo, hi), min_size=1, max_size=2))))
+    lines.append(f"var x: int[{lo}..{hi}] = {init}")
+    lines.append(f"var b: bool = {draw(st.sampled_from(['false', 'true', 'false | true']))}")
+    for proc in draw(st.sampled_from([["P0"], ["P0", "P1"]])):
+        locs = _LOCS[proc][:draw(st.integers(1, 3))]
+        lines.append(f"process {proc} {{")
+        lines += [f"  loc {loc}{' init' * (i == 0)}" for i, loc in enumerate(locs)]
+        for _ in range(draw(st.integers(0, 4))):
+            edge = f"  edge {draw(st.sampled_from(locs))} -> {draw(st.sampled_from(locs))}"
+            if draw(st.booleans()):
+                edge += f" when {draw(_GUARDS)}"
+            if draw(st.booleans()):
+                edge += f" do {draw(_ASSIGNS)}"
+            lines.append(edge)
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+_LABELS = st.sampled_from(["a", "b", "c", "d", "<a,b>"])
+_ARS_TEXTS = st.tuples(
+    st.lists(_LABELS, max_size=3, unique=True).map(
+        lambda ls: ["a", "b"] + [lab for lab in ls if lab not in ("a", "b")]),
+    st.lists(st.tuples(_LABELS, _LABELS), max_size=8),
+).map(lambda t: "states " + " ".join(t[0]) + "\n"
+      + "".join(f"trans {a} {b}\n" for a, b in t[1] if a in t[0] and b in t[0]))
+_JUNK_SETS = st.sampled_from(["", "loc(", "&&", "a,,b", "<a,b", "e", "x=", "b0=false"])
+_SETS = {True: st.one_of(_PREDICATES, _PREDICATES, _PREDICATES, _JUNK_SETS),
+         False: st.one_of(*[st.lists(_LABELS, max_size=3, unique=True).map(",".join)] * 3,
+                          _JUNK_SETS)}
+_QUERY_FLAGS = {
+    "check": ("--source", "--target"), "safety": ("--from", "--error"),
+    "liveness": ("--from", "--goal"),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["check", "safety", "liveness", "expand"]),
+       use_model=st.booleans(), model=_spliced(_model_texts()), system=_spliced(_ARS_TEXTS),
+       data=st.data(),
+       extra=st.sampled_from([[], ["--mode", "total"], ["--engine", "oracle"],
+                              ["--strategy", "monolithic"], ["--json"]]))
+def test_random_inputs_end_in_a_verdict_or_a_clean_exit_2(
+        tmp_path, command, use_model, model, system, data, extra):
+    path = tmp_path / ("m.model" if use_model or command == "expand" else "s.ars")
+    source, target = data.draw(_SETS[use_model]), data.draw(_SETS[use_model])
+    path.write_text(model if path.suffix == ".model" else system, encoding="utf-8")
+    caps = ["--max-states", "500"]
+    if command == "expand":
+        argv = ["expand", "--model", str(path), *caps]
+    else:
+        src_flag, tgt_flag = _QUERY_FLAGS[command]
+        argv = [command, "--model" if use_model else "--ars", str(path), src_flag, source,
+                tgt_flag, target, "--max-nodes", "5000", *caps]
+        if command == "check" or extra[:1] != ["--mode"]:
+            argv += extra
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue()
+    else:
+        assert err.getvalue() == ""

@@ -359,6 +359,13 @@ class TestProofGraph:
         for pp in (hand_built_proof(a1), hand_built_disproof(a1)):
             assert graph_violations(a1, proof_graph(pp)) == []
 
+    def test_tables_are_the_trees_own(self, a1):
+        for pp in (hand_built_proof(a1), hand_built_disproof(a1),
+                   prove(a1, predicate((0,), (2, 3)))):
+            g = proof_graph(pp)
+            assert g.predicates is pp.tree.preds
+            assert g.rules is pp.tree.rules
+
 
 class TestDotExport:
     EXPECTED = """\

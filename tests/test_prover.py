@@ -6,6 +6,7 @@ import pytest
 from reachproof import (
     AprPredicate,
     Ars,
+    DerivationTree,
     NodeBudgetExceeded,
     ProverConfig,
     RuleName,
@@ -29,6 +30,23 @@ from conftest import random_ars, random_subset
 
 EAGER = ProverConfig(strategy=SplitStrategy.EAGER)
 MONO = ProverConfig(strategy=SplitStrategy.MONOLITHIC)
+# Goals on the worked system giving a cyclic proof, an acyclic proof and,
+# under MONO, a disproof.
+VERDICT_GOALS = [((0,), (2, 3)), ((0, 1), (0, 1)), ((0,), (2,))]
+
+
+def open_leaf_scans(monkeypatch, check, ars, goals):
+    """The most `DerivationTree.open_leaves` calls made by one query."""
+    calls = []
+    scan = DerivationTree.open_leaves
+    monkeypatch.setattr(DerivationTree, "open_leaves", lambda t: calls.append(t) or scan(t))
+    most = 0
+    for (source, target) in goals:
+        for cfg in (EAGER, MONO):
+            calls.clear()
+            check(ars, predicate(source, target), cfg)
+            most = max(most, len(calls))
+    return most
 
 
 class TestProveShapes:
@@ -103,6 +121,9 @@ class TestCheckPartial:
         assert verdict.stats.rule_counts == {"Axiom": 1, "Subs": 2, "Der": 2, "Dis": 0}
         assert verdict.stats.buds == 1
 
+    def test_one_open_leaf_scan_per_query(self, a1, monkeypatch):
+        assert open_leaf_scans(monkeypatch, check_partial, a1, VERDICT_GOALS) <= 1
+
 
 class TestCheckTotal:
     def test_cyclic_proof_gives_lasso(self, a1):
@@ -124,6 +145,24 @@ class TestCheckTotal:
         chain = Ars(["x", "y"], [(0, 1)])
         verdict = check_total(chain, predicate((0,), (1,)), EAGER)
         assert verdict.kind is VerdictKind.TOTALLY_VALID
+
+    def test_one_open_leaf_scan_per_query(self, a1, monkeypatch):
+        assert open_leaf_scans(monkeypatch, check_total, a1, VERDICT_GOALS) <= 1
+
+    def test_total_verdict_is_the_partial_one_plus_the_cycle_test(self, a1):
+        for (source, target) in VERDICT_GOALS:
+            for cfg in (EAGER, MONO):
+                vp = check_partial(a1, predicate(source, target), cfg)
+                vt = check_total(a1, predicate(source, target), cfg)
+                assert (vt.stats, vt.graph, vt.acyclic) == (vp.stats, vp.graph, vp.acyclic)
+                assert vt.pre_proof.tree == vp.pre_proof.tree
+                if vp.witness is not None:
+                    assert (vt.kind, vt.witness) == (VerdictKind.NOT_TOTALLY_VALID, vp.witness)
+                elif vp.acyclic:
+                    assert (vt.kind, vt.witness) == (VerdictKind.TOTALLY_VALID, None)
+                else:
+                    assert vt.kind is VerdictKind.NOT_TOTALLY_VALID
+                    assert vt.witness == extract_lasso(a1, predicate(source, target))
 
 
 class TestExtractFiniteCounterexample:
