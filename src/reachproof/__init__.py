@@ -12,6 +12,7 @@ from .ars import (
     ArsError,
     ExecutionPath,
     StateSet,
+    System,
     UnknownObjectError,
     avoiding_region,
     canon,
@@ -25,6 +26,7 @@ from .modeling import (
     Expansion,
     Model,
     ModelError,
+    ModelSystem,
     builtin_peterson,
     eval_state_predicate,
     expand,

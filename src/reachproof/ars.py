@@ -1,7 +1,10 @@
 """Finite abstract reduction systems and canonical state-set primitives.
 
 An `Ars` is a finite object table plus a transition relation, stored as a
-sorted adjacency list with precomputed normal forms.  State sets are
+sorted adjacency list with precomputed normal forms.  A `LazySystem`
+offers the same reads (`System`) but computes each successor tuple and
+label on first access, so a query on it costs what the query reaches;
+`SinkSystem` adds a sink to one by a rule instead of a table.  State sets are
 canonical tuples of object ids (strictly increasing), so two sets are
 extensionally equal exactly when their representations are equal.  That
 representation equality is what the proof machinery relies on when it
@@ -14,7 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 # Canonical state set: strictly increasing tuple of object ids.
 StateSet = tuple[int, ...]
@@ -37,7 +40,61 @@ def canon(members: Iterable[int]) -> StateSet:
     return tuple(sorted(set(members)))
 
 
-class Ars:
+class System:
+    """What the prover, `bfs`, the oracle, witness extraction and the DOT
+    and trace writers read of a finite reduction system:
+
+    * `n`, the size of the object table: objects are the ids 0..n-1;
+    * `succs[i]`, the sorted, duplicate-free successor tuple of `i`;
+    * `labels[i]`, the label of `i`;
+    * `_nf`, the normal forms, read only through `in` and `isdisjoint`.
+
+    `Ars` holds all of it in tables.  A `LazySystem` computes each entry
+    on first access, so a query pays only for the objects it reaches.
+    """
+
+    __slots__ = ()
+
+    def is_normal_form(self, i: int) -> bool:
+        return i in self._nf
+
+    def _find(self, label: str) -> int | None:
+        """The id labelled `label`, or None."""
+        raise NotImplementedError
+
+    def has_label(self, label: str) -> bool:
+        return self._find(label) is not None
+
+    def id_of(self, label: str) -> int:
+        i = self._find(label)
+        if i is None:
+            raise UnknownObjectError(f"unknown object label {label!r}")
+        return i
+
+    def ids_of(self, labels: Iterable[str]) -> StateSet:
+        return canon(self.id_of(lab) for lab in labels)
+
+    def check_members(self, p: Iterable[int]) -> StateSet:
+        """Canonicalize `p` and reject ids outside the object table."""
+        p = canon(p)
+        if p and (p[0] < 0 or p[-1] >= self.n):
+            bad = [i for i in p if not 0 <= i < self.n]
+            raise UnknownObjectError(f"object ids {bad} outside object table of size {self.n}")
+        return p
+
+    def with_sink(self, label: str, feeders: Iterable[int], complement: bool = False) -> System:
+        """This system plus one fresh irreducible object `label`, with id
+        `n` and an edge into it from every feeder or, with `complement`,
+        from every object that is not a feeder."""
+        feeders = self.check_members(feeders)
+        if not LABEL_RE.match(label):
+            raise ArsError(f"bad object label {label!r}")
+        if self.has_label(label):
+            raise ArsError(f"duplicate object label {label!r}")
+        return self._with_sink(label, feeders, complement)
+
+
+class Ars(System):
     """Immutable finite reduction system over an interned object table.
 
     Objects are dense integer ids 0..n-1; each id carries a unique label
@@ -83,21 +140,15 @@ class Ars:
         self.normal_forms: StateSet = tuple(i for i, s in enumerate(succs) if not s)
         self._nf = frozenset(self.normal_forms)
 
-    def with_sink(self, label: str, feeders: Iterable[int]) -> Ars:
-        """This system plus one fresh irreducible object `label`, with id
-        `n` and an edge into it from every feeder.
-
-        Equal to rebuilding the system from all labels and edges, but the
+    def _with_sink(self, label: str, feeders: StateSet, complement: bool) -> Ars:
+        """Equal to rebuilding the system from all labels and edges, but the
         validated labels, index and successor tuples are shared: only the
-        feeders' successor tuples are built anew.
-        """
-        feeders = self.check_members(feeders)
-        if not LABEL_RE.match(label):
-            raise ArsError(f"bad object label {label!r}")
-        if label in self.index:
-            raise ArsError(f"duplicate object label {label!r}")
+        feeders' successor tuples are built anew."""
         sink = self.n
         succs = list(self.succs)
+        if complement:
+            skip = set(feeders)
+            feeders = [s for s in range(sink) if s not in skip]
         for s in feeders:
             succs[s] += (sink,)
         succs.append(EMPTY)
@@ -107,25 +158,8 @@ class Ars:
     def n(self) -> int:
         return len(self.labels)
 
-    def is_normal_form(self, i: int) -> bool:
-        return i in self._nf
-
-    def id_of(self, label: str) -> int:
-        try:
-            return self.index[label]
-        except KeyError:
-            raise UnknownObjectError(f"unknown object label {label!r}") from None
-
-    def ids_of(self, labels: Iterable[str]) -> StateSet:
-        return canon(self.id_of(lab) for lab in labels)
-
-    def check_members(self, p: Iterable[int]) -> StateSet:
-        """Canonicalize `p` and reject ids outside the object table."""
-        p = canon(p)
-        if p and (p[0] < 0 or p[-1] >= self.n):
-            bad = [i for i in p if not 0 <= i < self.n]
-            raise UnknownObjectError(f"object ids {bad} outside object table of size {self.n}")
-        return p
+    def _find(self, label: str) -> int | None:
+        return self.index.get(label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ars):
@@ -139,7 +173,102 @@ class Ars:
         return f"Ars({self.n} objects, {sum(len(s) for s in self.succs)} edges)"
 
 
-def image(ars: Ars, p: Sequence[int]) -> set[int]:
+class _LazyTable(dict):
+    """The entries `compute(i)` for the ids 0..n-1, each computed on first
+    access and kept.  It reads like the tuple of all n entries: indexing
+    (a kept entry is a C-level dict lookup, so `itemgetter` and
+    `labels.__getitem__` stay fast), `len` and iteration in id order, which
+    computes every entry.  `dict.keys(table)` holds the ids computed."""
+
+    __slots__ = ("_n", "_compute")
+
+    def __init__(self, n: int, compute: Callable[[int], object]):
+        super().__init__()
+        self._n = n
+        self._compute = compute
+
+    def __missing__(self, i: int):
+        if not 0 <= i < self._n:
+            raise IndexError(f"object id {i} outside object table of size {self._n}")
+        entry = self[i] = self._compute(i)
+        return entry
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(self._n))
+
+
+class _Stuck:
+    """The normal forms of a lazy system, as `in` and `isdisjoint` read
+    them: an object is stuck when its successor tuple is empty."""
+
+    __slots__ = ("_succs",)
+
+    def __init__(self, succs: _LazyTable):
+        self._succs = succs
+
+    def __contains__(self, i: int) -> bool:
+        return not self._succs[i]
+
+    def isdisjoint(self, ids: Iterable[int]) -> bool:
+        return all(map(self._succs.__getitem__, ids))
+
+
+class LazySystem(System):
+    """A system whose successor tuples and labels are computed on first
+    access by `successors(i)` and `label(i)` and kept, so a query computes
+    them only for the objects it reaches.  The producer vouches for what
+    they return, as `Ars._from_table`'s producers do."""
+
+    def __init__(self, n: int, successors: Callable[[int], StateSet],
+                 label: Callable[[int], str]):
+        self.n = n
+        self.succs = _LazyTable(n, successors)
+        self.labels = _LazyTable(n, label)
+        self._nf = _Stuck(self.succs)
+
+    @property
+    def explored(self) -> Collection[int]:
+        """The ids whose successors have been computed."""
+        return dict.keys(self.succs)
+
+    def _with_sink(self, label: str, feeders: StateSet, complement: bool) -> SinkSystem:
+        return SinkSystem(self, label, feeders, complement)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n} objects, {len(self.explored)} explored)"
+
+
+class SinkSystem(LazySystem):
+    """`base` plus one fresh irreducible object `label` with id `base.n`,
+    fed by a rule instead of a table: by every object in `members` or,
+    with `complement`, by every object not in it.  An object's successor
+    tuple is its base tuple, plus the sink when the rule says so."""
+
+    def __init__(self, base: System, label: str, members: Iterable[int], complement: bool):
+        sink = base.n
+        members = frozenset(members)
+        base_succs, base_labels = base.succs, base.labels
+
+        def successors(i: int) -> StateSet:
+            if i == sink:
+                return EMPTY
+            if (i in members) != complement:
+                return base_succs[i] + (sink,)
+            return base_succs[i]
+
+        super().__init__(sink + 1, successors,
+                         lambda i: label if i == sink else base_labels[i])
+        self._base = base
+        self._label = label
+
+    def _find(self, label: str) -> int | None:
+        return self._base.n if label == self._label else self._base._find(label)
+
+
+def image(ars: System, p: Sequence[int]) -> set[int]:
     """The successors of the ids in `p`, unchecked.  One `itemgetter` call
     fetches every successor tuple, so the whole step runs in C; `p[0]` is
     fetched twice so that the result is a tuple of tuples also for one id."""
@@ -148,18 +277,18 @@ def image(ars: Ars, p: Sequence[int]) -> set[int]:
     return set(chain.from_iterable(itemgetter(p[0], *p)(ars.succs)))
 
 
-def derivative(ars: Ars, p: Iterable[int]) -> StateSet:
+def derivative(ars: System, p: Iterable[int]) -> StateSet:
     """One-step successor set of `p`."""
     return tuple(sorted(image(ars, ars.check_members(p))))
 
 
-def is_runnable(ars: Ars, p: Iterable[int]) -> bool:
+def is_runnable(ars: System, p: Iterable[int]) -> bool:
     """True iff `p` is nonempty and contains no normal form."""
     p = ars.check_members(p)
     return bool(p) and ars._nf.isdisjoint(p)
 
 
-def bfs(ars: Ars, seeds: Iterable[int], avoid: Iterable[int] = ()) -> dict[int, int | None]:
+def bfs(ars: System, seeds: Iterable[int], avoid: Iterable[int] = ()) -> dict[int, int | None]:
     """Breadth-first search from `seeds` along edges that never enter `avoid`.
 
     Returns ``{state: parent}`` in discovery order: the seeds not in
@@ -187,7 +316,7 @@ def bfs_path(parent: dict[int, int | None], v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def region_succs(ars: Ars, region: Collection[int]) -> dict[int, list[int]]:
+def region_succs(ars: System, region: Collection[int]) -> dict[int, list[int]]:
     """Adjacency of the subgraph induced on `region`, in region order."""
     inside = set(region)
     return {v: [w for w in ars.succs[v] if w in inside] for v in region}
@@ -234,7 +363,7 @@ def cyclic_sccs(succs: dict[int, Sequence[int]]) -> Iterator[list[int]]:
                     low[work[-1][0]] = low[v]
 
 
-def avoiding_region(ars: Ars, p: Iterable[int], q: Iterable[int]) -> StateSet:
+def avoiding_region(ars: System, p: Iterable[int], q: Iterable[int]) -> StateSet:
     """States reachable from p \\ q along edges that never touch q.
 
     This is reachability inside the subgraph induced on the complement of
@@ -244,7 +373,7 @@ def avoiding_region(ars: Ars, p: Iterable[int], q: Iterable[int]) -> StateSet:
     return canon(bfs(ars, ars.check_members(p), ars.check_members(q)))
 
 
-def reachable(ars: Ars, p: Iterable[int]) -> StateSet:
+def reachable(ars: System, p: Iterable[int]) -> StateSet:
     """Reflexive-transitive closure of `p` under the transition relation."""
     return avoiding_region(ars, p, ())
 
@@ -265,7 +394,7 @@ class ExecutionPath:
             raise ValueError("execution path must be nonempty")
 
 
-def execution_path_violations(ars: Ars, path: ExecutionPath) -> list[str]:
+def execution_path_violations(ars: System, path: ExecutionPath) -> list[str]:
     """Structural problems of `path` against `ars` (empty list = well-formed)."""
     problems = []
     for a, b in zip(path.steps, path.steps[1:]):

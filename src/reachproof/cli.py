@@ -21,11 +21,12 @@ import time
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .ars import Ars, ArsError, StateSet, parse_ars, render_ars
+from .ars import ArsError, StateSet, System, parse_ars, render_ars
 from .modeling import (
     DEFAULT_STATE_CAP,
     Expansion,
     ModelError,
+    ModelSystem,
     builtin_peterson,
     eval_state_predicate,
     expand,
@@ -86,7 +87,7 @@ def report_from_json(text: str) -> RunReport:
     return RunReport(**json.loads(text))
 
 
-def render_witness(ars: Ars, witness: Witness) -> str:
+def render_witness(ars: System, witness: Witness) -> str:
     if isinstance(witness, FinitePath):
         return " -> ".join(ars.labels[i] for i in witness.path.steps)
     head = [ars.labels[i] for i in witness.stem] + [ars.labels[witness.cycle[0]]]
@@ -102,7 +103,10 @@ def _read_text(path: str) -> str:
             raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _load_input(args) -> tuple[Ars, Expansion | None]:
+def _load_input(args) -> tuple[System, Expansion | ModelSystem | None]:
+    """The system a command runs on and, for model input, the layout its
+    state predicates are evaluated over: `expand` fills the whole table,
+    a query explores the model on the fly."""
     picked = [x for x in (args.ars, args.model, args.builtin) if x]
     if len(picked) != 1:
         raise UsageError("exactly one of --ars, --model, --builtin is required")
@@ -115,8 +119,11 @@ def _load_input(args) -> tuple[Ars, Expansion | None]:
             raise UsageError(f"unknown builtin {args.builtin!r} (available: "
                              + ", ".join(sorted(BUILTINS)) + ")")
         model = BUILTINS[args.builtin]()
-    expansion = expand(model, max_states=args.max_states)
-    return expansion.ars, expansion
+    if args.cmd == "expand":
+        expansion = expand(model, max_states=args.max_states)
+        return expansion.ars, expansion
+    system = ModelSystem(model, max_states=args.max_states)
+    return system, system
 
 
 def _split_labels(text: str) -> list[str]:
@@ -135,10 +142,10 @@ def _split_labels(text: str) -> list[str]:
     return [lab.strip() for lab in labels if lab.strip()]
 
 
-def _resolve_set(ars: Ars, expansion: Expansion | None, text: str) -> StateSet:
+def _resolve_set(ars: System, layout: ModelSystem | None, text: str) -> StateSet:
     """Label list for plain systems, state-predicate expression for models."""
-    if expansion is not None:
-        return eval_state_predicate(expansion, text)
+    if layout is not None:
+        return eval_state_predicate(layout, text)
     return ars.ids_of(_split_labels(text))
 
 
@@ -146,7 +153,7 @@ _KINDS = {"partial": (VerdictKind.PARTIALLY_VALID, VerdictKind.NOT_PARTIALLY_VAL
           "total": (VerdictKind.TOTALLY_VALID, VerdictKind.NOT_TOTALLY_VALID)}
 
 
-def _run_query(args, command: str, ars: Ars, pred: AprPredicate, mode: str,
+def _run_query(args, command: str, ars: System, pred: AprPredicate, mode: str,
                started: float) -> tuple[RunReport, Verdict | None]:
     """Decide `pred` with the chosen engine; the report and, for the prover,
     the verdict behind it."""
@@ -178,13 +185,13 @@ def _run_query(args, command: str, ars: Ars, pred: AprPredicate, mode: str,
     return report, verd
 
 
-def _emit_proof(ars: Ars, verd: Verdict, path: str) -> None:
+def _emit_proof(ars: System, verd: Verdict, path: str) -> None:
     dot = to_dot(ars, verd.graph)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dot)
 
 
-def _emit_trace(ars: Ars, verd: Verdict, path: str) -> None:
+def _emit_trace(ars: System, verd: Verdict, path: str) -> None:
     t = verd.pre_proof.tree
     xi = verd.pre_proof.xi
     # Proof trees are as deep as the longest run they follow, so the walk
@@ -241,9 +248,9 @@ def cmd_query(args) -> int:
         flag = "--emit-proof" if args.emit_proof else "--emit-trace"
         raise UsageError(f"{flag} requires the prover engine")
     started = time.perf_counter()
-    ars, expansion = _load_input(args)
-    source = _resolve_set(ars, expansion, args.source)
-    target = _resolve_set(ars, expansion, args.target)
+    ars, layout = _load_input(args)
+    source = _resolve_set(ars, layout, args.source)
+    target = _resolve_set(ars, layout, args.target)
     if args.cmd == "safety":
         ars, pred = build_safety_query(ars, source, target)
     else:
@@ -297,12 +304,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_input_flags(sp) -> None:
+def _add_input_flags(sp, cap_help: str) -> None:
     sp.add_argument("--ars", help="system file in the line-based states/trans format")
     sp.add_argument("--model", help="model file in the guarded-transition DSL")
     sp.add_argument("--builtin", help="built-in model name (peterson)")
     sp.add_argument("--max-states", type=_positive_int, default=DEFAULT_STATE_CAP,
-                    help="cap on the expanded state-space size")
+                    help=cap_help)
 
 
 @functools.cache
@@ -317,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, spec in QUERIES.items():
         sp = sub.add_parser(name, help=spec.help)
-        _add_input_flags(sp)
+        _add_input_flags(sp, "cap on the model states a query explores, the states a "
+                             "state predicate selects and the variable valuations")
         sp.add_argument(*spec.source_flags, dest="source", required=True,
                         help="comma-joined labels, or a state predicate for models")
         sp.add_argument(*spec.target_flags, dest="target", required=True,
@@ -335,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=cmd_query)
 
     sp = sub.add_parser("expand", help="expand a model to the system format")
-    _add_input_flags(sp)
+    _add_input_flags(sp, "cap on the expanded state-space size (the product of the domains)")
     sp.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     sp.set_defaults(func=cmd_expand)
 

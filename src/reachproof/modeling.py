@@ -6,7 +6,9 @@ enumerates the full Cartesian state space and interleaves the processes:
 one transition per (state, process edge) whose guard holds, with the
 edge's assignments applied simultaneously.  The expanded system is an
 ordinary `Ars` whose object labels render the state tuples, so every
-verifier facility applies unchanged.
+verifier facility applies unchanged.  A `ModelSystem` is the same system
+explored on the fly: the queries use it, so they compute successors only
+for the states they reach.
 
 Model DSL (UTF-8, `#` comments):
 
@@ -21,8 +23,9 @@ Guards combine comparisons (=, !=, <, <=, >, >=) of variables and literals
 with &&, ||, ! and parentheses (`(` and `!` nested at most MAX_NESTING
 deep); a bare boolean variable is an atom.  State predicates additionally
 allow `loc(<process>) = <location>` atoms.  Guards are type-checked when the
-model is parsed, assignments when it is expanded; each expression is
-compiled once into a test over a state's location and value tuples.
+model is parsed, assignments when it is expanded or explored; each
+expression is compiled once into a test over a state's location and value
+tuples.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import operator
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import prod
 
-from .ars import LABEL_RE, Ars, StateSet, canon
+from .ars import EMPTY, LABEL_RE, Ars, LazySystem, StateSet, _LazyTable, canon
 
 Value = bool | int
 
@@ -561,16 +564,24 @@ class ModelState:
     values: tuple[Value, ...]
 
 
+DEFAULT_STATE_CAP = 1_000_000
+# Largest table of label tails a ModelSystem builds up front.
+TAIL_LABELS = 4096
+
+
 @dataclass
 class Expansion:
     """Expanded model: the system, its layout (each process's sorted
-    locations, and the valuations, in id order) and the initial states."""
+    locations, and the valuations, in id order) and the initial states.
+    `max_states` is the cap it was expanded under, which also bounds the
+    sets `eval_state_predicate` builds over it."""
 
     model: Model
     ars: Ars
     loc_axes: tuple[tuple[str, ...], ...]
     valuations: tuple[tuple[Value, ...], ...]
     initial: StateSet
+    max_states: int = DEFAULT_STATE_CAP
 
     def _layout(self) -> Iterator[tuple[tuple[str, ...], tuple[Value, ...]]]:
         """Every state's (locations, values), in id order."""
@@ -582,27 +593,8 @@ class Expansion:
         return tuple(itertools.starmap(ModelState, self._layout()))
 
 
-DEFAULT_STATE_CAP = 1_000_000
-
-
-def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
-    """Eagerly expand the full Cartesian state space with interleaving.
-
-    Object order is lexicographic on the rendered state label
-    `<loc,...,loc,value,...,value>`, so identical model text always yields a
-    bit-identical system.  No field contains `,` or `>`, so that order is
-    the product of one order per field: its text followed by the separator
-    after it (`>` for the last field, so `10` sorts before `1`).  A state's
-    id is its mixed-radix number over those sorted fields, the variables
-    being the low-order digits, and each label is put together from
-    per-field strings.
-
-    Guards and assignments read only variables, so each edge is evaluated
-    once per valuation `vi`; its transitions are then `li*|V| + vi ->
-    li*|V| + vi + delta` for every location index `li` whose digit for the
-    edge's process is the edge's source.
-    """
-    # Per process: location -> [(edge, guard test, assignments)] leaving it.
+def _moves(model: Model) -> list[dict[str, list]]:
+    """Per process: location -> [(edge, guard test, assignments)] leaving it."""
     moves = []
     for proc in model.processes:
         by_src = {loc: [] for loc in proc.locations}
@@ -611,40 +603,50 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
             assigns = [_compile_assign(model, var, rhs) for var, rhs in edge.assigns]
             by_src[edge.src].append((edge, guard, assigns))
         moves.append(by_src)
+    return moves
 
-    size = prod(len(p.locations) for p in model.processes) * prod(
-        2 if v.is_bool else v.hi - v.lo + 1 for v in model.variables)
-    if size > max_states:
-        raise StateLimitError(f"state space of {size} states exceeds cap {max_states}")
 
-    # One axis per field: (text and separator, location or value), sorted.
+def _valuation_count(model: Model) -> int:
+    return prod(2 if v.is_bool else v.hi - v.lo + 1 for v in model.variables)
+
+
+def _layout(model: Model) -> tuple[list, tuple, tuple, dict, list[int]]:
+    """The model's fields, each an axis of (text and separator, location
+    or value) pairs sorted into label order (see `expand`), processes
+    first; then the location axes, the valuations in id order, the
+    valuation index, and the id step of each process's location digit."""
     fields = [[(loc, loc) for loc in p.locations] for p in model.processes]
     fields += [[(str(v).lower() if decl.is_bool else str(v), v) for v in decl.domain()]
                for decl in model.variables]
     seps = [","] * (len(fields) - 1) + [">"]
     axes = [sorted((text + sep, v) for text, v in axis) for axis, sep in zip(fields, seps)]
-    labels = ["<"] if axes else ["<>"]
-    for axis in axes:
-        labels = [head + text for head in labels for text, _ in axis]
-
     n_procs = len(model.processes)
     loc_axes = tuple(tuple(loc for _, loc in axis) for axis in axes[:n_procs])
     valuations = tuple(itertools.product(*([v for _, v in axis] for axis in axes[n_procs:])))
     vindex = {values: vi for vi, values in enumerate(valuations)}
-    nv = len(valuations)
-    # The id step of each process's location digit.
-    weight = [prod(map(len, loc_axes[pi + 1:])) * nv for pi in range(n_procs)]
+    weight = [prod(map(len, loc_axes[pi + 1:])) * len(valuations) for pi in range(n_procs)]
+    return axes, loc_axes, valuations, vindex, weight
 
-    succ: list[set[int]] = [set() for _ in range(size)]
-    # The first assignment to leave its domain, in (state, process, edge) order.
+
+def _effects(model: Model, moves, loc_axes, valuations, vindex, weight) -> list[list[tuple]]:
+    """The effect table of the model's edges, the one source of
+    transitions for `expand` and `ModelSystem`.
+
+    Guards and assignments read only variables, so each edge is evaluated
+    once per valuation `vi`.  Per process, entry `d * |V| + vi` holds the
+    id deltas of the edges enabled at location digit `d` under `vi`: a
+    state with those digits has its id plus each delta as a successor
+    through that process.  Raises the first assignment to leave its
+    domain in (state, process, edge) order; the earliest state in which
+    an edge fails has every other digit 0, so its id is `d * weight + vi`.
+    """
+    nv = len(valuations)
+    tables = []
     first_error = None
     for pi, (proc, by_src, axis, w) in enumerate(zip(model.processes, moves, loc_axes, weight)):
         digit = {loc: d for d, loc in enumerate(axis)}
+        table = [EMPTY] * (len(axis) * nv)
         for d, src in enumerate(axis):
-            if not by_src[src]:
-                continue
-            # The states with process pi at src and valuation 0.
-            bases = [hi + lo for hi in range(d * w, size, w * len(axis)) for lo in range(0, w, nv)]
             for rank, (edge, guard, assigns) in enumerate(by_src[src]):
                 step = (digit[edge.dst] - d) * w
                 for vi, values in enumerate(valuations):
@@ -659,13 +661,54 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
                             break
                         new_vals[pos] = value
                     else:
-                        delta = step + vindex[tuple(new_vals)] - vi
-                        for b in bases:
-                            succ[b + vi].add(b + vi + delta)
+                        table[d * nv + vi] += (step + vindex[tuple(new_vals)] - vi,)
+        tables.append(table)
     if first_error:
         *_, name, value, edge, proc_name = first_error
         raise DomainError(f"assignment {name} := {value} leaves its domain "
                           f"(edge {edge.src} -> {edge.dst} of {proc_name})")
+    return tables
+
+
+def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
+    """Eagerly expand the full Cartesian state space with interleaving.
+
+    Object order is lexicographic on the rendered state label
+    `<loc,...,loc,value,...,value>`, so identical model text always yields a
+    bit-identical system.  No field contains `,` or `>`, so that order is
+    the product of one order per field: its text followed by the separator
+    after it (`>` for the last field, so `10` sorts before `1`).  A state's
+    id is its mixed-radix number over those sorted fields, the variables
+    being the low-order digits, and each label is put together from
+    per-field strings.
+
+    The transitions come from the effect table (`_effects`): for every
+    location index `li` whose digit for a process is `d`, `li*|V| + vi ->
+    li*|V| + vi + delta` for each delta the table holds at `d` and `vi`.
+    `max_states` caps the product of the domain sizes.
+    """
+    moves = _moves(model)
+    size = prod(len(p.locations) for p in model.processes) * _valuation_count(model)
+    if size > max_states:
+        raise StateLimitError(f"state space of {size} states exceeds cap {max_states}")
+
+    axes, loc_axes, valuations, vindex, weight = _layout(model)
+    labels = _field_texts(axes, "<" if axes else "<>")
+    nv = len(valuations)
+    tables = _effects(model, moves, loc_axes, valuations, vindex, weight)
+
+    succ: list[set[int]] = [set() for _ in range(size)]
+    for axis, w, table in zip(loc_axes, weight, tables):
+        for d in range(len(axis)):
+            row = table[d * nv:(d + 1) * nv]
+            if not any(row):
+                continue
+            # The states with this process at digit d and valuation 0.
+            bases = [hi + lo for hi in range(d * w, size, w * len(axis)) for lo in range(0, w, nv)]
+            for vi, deltas in enumerate(row):
+                for delta in deltas:
+                    for b in bases:
+                        succ[b + vi].add(b + vi + delta)
     # The labels skip `Ars`'s checks: they are put together from declared
     # identifiers, integer and bool literals and the characters `<`, `,`
     # and `>`, all inside LABEL_RE, and the mixed-radix fields make them
@@ -673,20 +716,262 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
     index = dict(zip(labels, range(size)))
     if len(index) < size or not all(LABEL_RE.match(loc) for axis in loc_axes for loc in axis):
         raise ModelError("location names do not make distinct valid state labels")
-    ars = Ars._from_table(tuple(labels), index, tuple(tuple(sorted(s)) for s in succ))
+    ars = Ars._from_table(labels, index, tuple(tuple(sorted(s)) for s in succ))
     initial = canon(
         sum(w * axis.index(loc) for w, axis, loc in zip(weight, loc_axes, locs)) + vindex[values]
         for locs, values in itertools.product(
             itertools.product(*(p.init_locations for p in model.processes)),
             itertools.product(*(v.init_values for v in model.variables))))
-    return Expansion(model, ars, loc_axes, valuations, initial)
+    return Expansion(model, ars, loc_axes, valuations, initial, max_states)
 
 
-def eval_state_predicate(expansion: Expansion, expr: str | tuple) -> StateSet:
-    """The states satisfying a state-predicate expression, in id order."""
+class ModelSystem(LazySystem):
+    """The system `expand` builds for `model`, explored on the fly: the
+    same ids, labels and successor tuples, but a state's successors are
+    computed from the digits of its id, through the effect table, when a
+    query first reads them.  So a query costs what it reaches, not the
+    product of the domain sizes.
+
+    `max_states` caps the states whose successors are computed, the
+    states a state predicate selects over it, and the number of
+    valuations before their table is built.  Location names
+    must be valid labels without `,` or `>` and distinct in their
+    process, which makes the labels distinct without building them.
+    Like `Expansion`, it carries the layout `eval_state_predicate` reads.
+    """
+
+    def __init__(self, model: Model, max_states: int = DEFAULT_STATE_CAP):
+        moves = _moves(model)
+        nv = _valuation_count(model)
+        if nv > max_states:
+            raise StateLimitError(f"{nv} valuations of the variables exceed cap {max_states}")
+        self.model = model
+        self.max_states = max_states
+        axes, self.loc_axes, self.valuations, vindex, weight = _layout(model)
+        tables = _effects(model, moves, self.loc_axes, self.valuations, vindex, weight)
+        if not all(len(set(axis)) == len(axis) and all(
+                LABEL_RE.match(loc) and "," not in loc and ">" not in loc for loc in axis)
+                for axis in self.loc_axes):
+            raise ModelError("location names do not make distinct valid state labels")
+        self._nv = nv = len(self.valuations)
+        self._moves = moves = tuple(zip(weight, map(len, self.loc_axes), tables))
+        # Per field: text -> digit, for label lookups.
+        self._digits = tuple({text[:-1]: d for d, (text, _) in enumerate(axis)} for axis in axes)
+        n = prod(map(len, axes))
+        # The table functions below close over data, not over `self`, so a
+        # system is freed by reference counting, without a cycle.
+        explored = 0
+
+        def successors(s: int) -> StateSet:
+            nonlocal explored
+            if explored == max_states:
+                raise StateLimitError(f"query explored {explored} states, reaching cap {max_states}")
+            explored += 1
+            vi = s % nv
+            deltas = []
+            for w, radix, table in moves:
+                deltas += table[s // w % radix * nv + vi]
+            return tuple(map(s.__add__, sorted(set(deltas))))
+
+        # A label is a head, the text of the high fields, computed once per
+        # head, plus a tail from a table of every text of the low fields.
+        # The tail table grows to about sqrt(n) entries, at most
+        # TAIL_LABELS.
+        cut, tail = len(axes), 1
+        while cut and tail * tail < n and tail * len(axes[cut - 1]) <= TAIL_LABELS:
+            cut -= 1
+            tail *= len(axes[cut])
+        tails = _field_texts(axes[cut:], "")
+        heads = _LazyTable(n // tail, partial(_head_text, axes[:cut], "<" if axes else "<>"))
+        super().__init__(n, successors, lambda s: heads[s // tail] + tails[s % tail])
+
+    def is_normal_form(self, i: int) -> bool:
+        # Read off the effect table, so that testing a state (as
+        # `build_safety_query` tests every error state) does not explore it.
+        nv = self._nv
+        vi = i % nv
+        return not any(table[i // w % radix * nv + vi] for w, radix, table in self._moves)
+
+    def _find(self, label: str) -> int | None:
+        fields = label[1:-1].split(",")
+        if label[:1] != "<" or label[-1:] != ">" or len(fields) != len(self._digits):
+            return None
+        i = 0
+        for text, digits in zip(fields, self._digits):
+            d = digits.get(text)
+            if d is None:
+                return None
+            i = i * len(digits) + d
+        return i
+
+
+def _field_texts(axes, prefix: str) -> tuple[str, ...]:
+    """`prefix` plus the texts of the fields `axes`, for every digit
+    combination in id order."""
+    texts = [prefix]
+    for axis in axes:
+        texts = [head + text for head in texts for text, _ in axis]
+    return tuple(texts)
+
+
+def _head_text(axes, prefix: str, i: int) -> str:
+    """`prefix` plus the texts of the fields `axes` at digits `i`."""
+    parts = []
+    for axis in reversed(axes):
+        i, d = divmod(i, len(axis))
+        parts.append(axis[d][0])
+    parts.append(prefix)
+    return "".join(reversed(parts))
+
+
+# ---------------------------------------------------------------------------
+# State predicates
+
+def eval_state_predicate(space: Expansion | ModelSystem, expr: str | tuple) -> StateSet:
+    """The states satisfying a state-predicate expression, in id order.
+
+    Each atom reads one digit of the mixed-radix id: a process's location
+    digit, or the valuation digit for variable atoms.  So the digits are
+    walked from the most significant down in three-valued logic: a block
+    of ids whose formula the digits so far decide true is one id range, a
+    block decided false is pruned, and blocks left with the same formula
+    share one result.  The cost follows the formula and the size of the
+    result, not the product of the domains.  A result of more than
+    `space.max_states` states raises StateLimitError before it is built.
+    """
     node = parse_state_expr(expr) if isinstance(expr, str) else expr
-    test = _compile(expansion.model, node, allow_loc=True)
-    return tuple(sid for sid, state in enumerate(expansion._layout()) if test(*state))
+    return _DigitWalk(space).ids(node)
+
+
+def _negate(f):
+    return (not f) if isinstance(f, bool) else ("not", f)
+
+
+def _connect(kind: str, kids: list):
+    """`kind` ("and"/"or") of `kids`, with constant kids folded away."""
+    decides = kind == "or"  # the constant that decides the connective
+    rest = []
+    for k in kids:
+        if k is decides:
+            return decides
+        if k is not (not decides):
+            rest.append(k)
+    if not rest:
+        return not decides
+    return rest[0] if len(rest) == 1 else (kind, *rest)
+
+
+class _DigitWalk:
+    """`eval_state_predicate` over one layout.  A formula is True, False,
+    `("lit", atom)`, or "not"/"and"/"or" over formulas; atom `a` reads
+    digit `self.level[a]`, and `self.truth[a][d]` is its value there."""
+
+    def __init__(self, space: Expansion | ModelSystem):
+        self.space = space
+        self.radix = [len(axis) for axis in space.loc_axes] + [len(space.valuations)]
+        # Ids per block of the digits from `level` on.
+        self.block = [prod(self.radix[level:]) for level in range(len(self.radix) + 1)]
+        self.level: list[int] = []
+        self.truth: list[tuple[bool, ...]] = []
+
+    def _formula(self, node: tuple):
+        kind = node[0]
+        if kind == "not":
+            return _negate(self._formula(node[1]))
+        if kind in ("and", "or"):
+            return _connect(kind, [self._formula(child) for child in node[1:]])
+        space = self.space
+        test = _compile(space.model, node, allow_loc=True)  # type-checks the atom
+        operands = node[1:] if kind == "atom" else node[2:]
+        kinds = [op[0] for op in operands]
+        if "loc" in kinds:
+            proc, loc = operands if kinds[0] == "loc" else operands[::-1]
+            level = [p.name for p in space.model.processes].index(proc[1])
+            eq = node[1] == "="
+            truth = tuple((here == loc[1]) == eq for here in space.loc_axes[level])
+        elif "name" in kinds:
+            level = len(space.loc_axes)
+            valuations = space.valuations
+            truth = tuple(map(test, itertools.repeat((), len(valuations)), valuations))
+        else:
+            return bool(test((), ()))  # literals only: reads no digit
+        self.level.append(level)
+        self.truth.append(truth)
+        return ("lit", len(self.level) - 1)
+
+    def _split(self, f, level: int):
+        """`f` at each value of digit `level`, or None when `f` does not
+        read that digit."""
+        tag = f[0]
+        if tag == "lit":
+            return self.truth[f[1]] if self.level[f[1]] == level else None
+        if tag == "not":
+            kid = self._split(f[1], level)
+            return None if kid is None else tuple(map(_negate, kid))
+        kids = [self._split(child, level) for child in f[1:]]
+        if kids.count(None) == len(kids):
+            return None
+        columns = zip(*(itertools.repeat(child) if k is None else k
+                        for k, child in zip(kids, f[1:])))
+        return tuple(_connect(tag, column) for column in columns)
+
+    def _vector(self, f) -> tuple[bool, ...]:
+        """The values of `f`, which reads only the valuation digit, at
+        every valuation: C-level passes over the atoms' values."""
+        tag = f[0]
+        if tag == "lit":
+            return self.truth[f[1]]
+        if tag == "not":
+            return tuple(map(operator.not_, self._vector(f[1])))
+        return tuple(map(all if tag == "and" else any,
+                         zip(*(self._vector(child) for child in f[1:]))))
+
+    def ids(self, node: tuple) -> StateSet:
+        root = self._formula(node)
+        cap = self.space.max_states
+        if isinstance(root, bool):
+            if root and self.block[0] > cap:
+                raise StateLimitError(
+                    f"state predicate selects {self.block[0]} states, more than cap {cap}")
+            return tuple(range(self.block[0])) if root else EMPTY
+        # Walk the location digits level by level: each formula still
+        # undecided at a level, split into its formula per digit value
+        # (itself for every value when it does not read the digit).
+        levels: list[dict] = []
+        undecided = {root: None}
+        for level, radix in enumerate(self.radix[:-1]):
+            split = {f: self._split(f, level) or (f,) * radix for f in undecided}
+            levels.append(split)
+            undecided = {g: None for kids in split.values() for g in kids
+                         if not isinstance(g, bool)}
+        # What is left reads only the valuation digit.
+        vectors = {f: self._vector(f) for f in undecided}
+        if self.block[0] > cap:  # the result may not fit: count it first
+            count = {f: sum(vector) for f, vector in vectors.items()}
+            for level in reversed(range(len(levels))):
+                size = self.block[level + 1]
+                count = {f: sum(size if g is True else 0 if g is False else count[g]
+                                for g in kids)
+                         for f, kids in levels[level].items()}
+            if count[root] > cap:
+                raise StateLimitError(
+                    f"state predicate selects {count[root]} states, more than cap {cap}")
+        valuations = range(self.radix[-1])
+        built = {f: tuple(itertools.compress(valuations, vector)) for f, vector in vectors.items()}
+        for level in reversed(range(len(levels))):
+            size = self.block[level + 1]
+            built = {f: tuple(itertools.chain.from_iterable(
+                         _shift(g if isinstance(g, bool) else built[g], d * size, size)
+                         for d, g in enumerate(kids) if g is not False))
+                     for f, kids in levels[level].items()}
+        return built[root]
+
+
+def _shift(ids, base: int, size: int):
+    """The ids of a sub-block (True: all `size` of them) moved up by `base`."""
+    if ids is True:
+        return range(base, base + size)
+    return map(base.__add__, ids) if base else ids
 
 
 # ---------------------------------------------------------------------------

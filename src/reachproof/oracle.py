@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ars import Ars, ExecutionPath, bfs, bfs_path, cyclic_sccs, region_succs
+from .ars import ExecutionPath, System, bfs, bfs_path, cyclic_sccs, region_succs
 from .proofs import AprPredicate
 from .prover import FinitePath, Witness, extract_lasso
 
@@ -35,12 +35,12 @@ class OracleAnswer:
             raise ValueError("invalid answers need a witness")
 
 
-def _region_tree(ars: Ars, pred: AprPredicate) -> dict[int, int | None]:
+def _region_tree(ars: System, pred: AprPredicate) -> dict[int, int | None]:
     """Breadth-first tree of the avoiding region."""
     return bfs(ars, ars.check_members(pred.source), ars.check_members(pred.target))
 
 
-def _stuck_path(ars: Ars, tree: dict[int, int | None]) -> FinitePath | None:
+def _stuck_path(ars: System, tree: dict[int, int | None]) -> FinitePath | None:
     """Shortest target-free run into a normal form: the tree path to the
     first normal form the search discovered."""
     stuck = next((v for v in tree if v in ars._nf), None)
@@ -49,13 +49,13 @@ def _stuck_path(ars: Ars, tree: dict[int, int | None]) -> FinitePath | None:
     return FinitePath(ExecutionPath(bfs_path(tree, stuck), is_maximal=True))
 
 
-def oracle_partial(ars: Ars, pred: AprPredicate) -> OracleAnswer:
+def oracle_partial(ars: System, pred: AprPredicate) -> OracleAnswer:
     """Exact decision of partial validity by region analysis."""
     path = _stuck_path(ars, _region_tree(ars, pred))
     return OracleAnswer(path is None, path)
 
 
-def oracle_total(ars: Ars, pred: AprPredicate) -> OracleAnswer:
+def oracle_total(ars: System, pred: AprPredicate) -> OracleAnswer:
     """Exact decision of total validity by region analysis."""
     tree = _region_tree(ars, pred)
     path = _stuck_path(ars, tree)

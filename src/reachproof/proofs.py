@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import filterfalse
 from typing import AbstractSet, Callable, Container, Iterable, Iterator
 
-from .ars import Ars, ArsError, StateSet, canon, cyclic_sccs, derivative, image, is_runnable
+from .ars import ArsError, StateSet, System, canon, cyclic_sccs, derivative, image, is_runnable
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,11 @@ def predicate(source: Iterable[int], target: Iterable[int]) -> AprPredicate:
     return AprPredicate(canon(source), canon(target))
 
 
-def format_predicate(ars: Ars, pred: AprPredicate) -> str:
+def format_predicate(ars: System, pred: AprPredicate) -> str:
     return predicate_formatter(ars)(pred)
 
 
-def predicate_formatter(ars: Ars, escape: Callable[[str], str] = str
+def predicate_formatter(ars: System, escape: Callable[[str], str] = str
                         ) -> Callable[[AprPredicate], str]:
     """`format_predicate` for the many goals of one output, passed through
     `escape` (which must act character by character).  The goals of a
@@ -107,7 +107,7 @@ class SplitStrategy(Enum):
     MONOLITHIC = "monolithic"
 
 
-def applicable_rules(ars: Ars, pred: AprPredicate) -> list[RuleName]:
+def applicable_rules(ars: System, pred: AprPredicate) -> list[RuleName]:
     """Evaluate every rule's side condition independently (test surface)."""
     if pred.is_bottom:
         raise ValueError("no rule applies to the bottom predicate")
@@ -125,7 +125,7 @@ def applicable_rules(ars: Ars, pred: AprPredicate) -> list[RuleName]:
     return rules
 
 
-def applicable_rule(ars: Ars, pred: AprPredicate,
+def applicable_rule(ars: System, pred: AprPredicate,
                     target_set: AbstractSet[int] | None = None) -> RuleName:
     """The unique rule applicable to a canonical non-bottom goal.
 
@@ -146,7 +146,10 @@ def applicable_rule(ars: Ars, pred: AprPredicate,
     if target_set is None:
         target_set = frozenset(pred.target)
     overlap = not target_set.isdisjoint(p)
-    stuck = not ars._nf.isdisjoint(p)
+    # Only a target-free source is tested for normal forms: on a lazy
+    # system the test computes successors, and no goal needs those of a
+    # target state.
+    stuck = not overlap and not ars._nf.isdisjoint(p)
     # Side conditions in RuleName order: Axiom, Subs, Der, Dis.
     holds = (not p, overlap, bool(p) and not overlap and not stuck,
              bool(p) and not overlap and stuck)
@@ -155,7 +158,7 @@ def applicable_rule(ars: Ars, pred: AprPredicate,
 
 
 def premises(
-    ars: Ars,
+    ars: System,
     pred: AprPredicate,
     strategy: SplitStrategy = SplitStrategy.EAGER,
     fold_states: Container[int] = (),
@@ -275,7 +278,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_pre_proof(ars: Ars, pp: PreProof) -> ValidationReport:
+def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
     """Check every rule instance and bud condition; never raises.
 
     A valid report confirms: the tree is a tree, each ruled node is an
@@ -441,7 +444,7 @@ def is_acyclic(g: ProofGraph) -> bool:
     return next(cyclic_sccs(succs), None) is None
 
 
-def graph_violations(ars: Ars, g: ProofGraph) -> list[str]:
+def graph_violations(ars: System, g: ProofGraph) -> list[str]:
     """Check the structural facts every proof graph must satisfy.
 
     Per-vertex checks: edges into non-bottom vertices preserve the target;
@@ -494,7 +497,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(ars: Ars, g: ProofGraph) -> str:
+def to_dot(ars: System, g: ProofGraph) -> str:
     """Render the proof graph as deterministic DOT (byte-for-byte stable)."""
     order = {v: i for i, v in enumerate(g.vertices)}
     fmt = predicate_formatter(ars, _dot_escape)

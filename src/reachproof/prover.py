@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .ars import (
-    Ars,
     ExecutionPath,
     StateSet,
+    System,
     bfs,
     bfs_path,
     cyclic_sccs,
@@ -109,7 +109,7 @@ class Verdict:
     acyclic: bool
 
 
-def prove(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreProof:
+def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> PreProof:
     """Construct a closed pre-proof (proof or disproof) for `pred`.
 
     Deterministic for fixed inputs and config; always terminates on a
@@ -170,7 +170,7 @@ def stats_of(pp: PreProof) -> ProofStats:
                       rule_counts={r.value: counts[r] for r in RuleName})
 
 
-def check_partial(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
+def check_partial(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
     """Decide whether every finite run from the source reaches the target.
 
     The pre-proof is a disproof exactly when it holds a ``Dis`` node, and
@@ -187,7 +187,7 @@ def check_partial(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None)
     return Verdict(kind, pp, witness, stats, graph, is_acyclic(graph))
 
 
-def check_total(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
+def check_total(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:
     """Decide whether every run, finite or infinite, reaches the target.
 
     This is `check_partial` plus the cycle test on its proof graph: a
@@ -204,31 +204,32 @@ def check_total(ars: Ars, pred: AprPredicate, cfg: ProverConfig | None = None) -
     return replace(verdict, kind=VerdictKind.NOT_TOTALLY_VALID, witness=extract_lasso(ars, pred))
 
 
-def extract_finite_counterexample(ars: Ars, disproof: PreProof) -> ExecutionPath:
+def extract_finite_counterexample(ars: System, disproof: PreProof) -> ExecutionPath:
     """Read a maximal target-free run off the tree path into a ``Dis`` node.
 
     Walks from the earliest ``Dis`` node back to the root, choosing at each
     ``Der`` step a concrete predecessor (smallest id) and collapsing the
-    reflexive steps contributed by ``Subs`` nodes.
+    reflexive steps contributed by ``Subs`` nodes.  Sources are ascending,
+    so the first hit of each scan is the smallest and the scan stops there.
     """
     t = disproof.tree
     node = min((v for v, r in t.rules.items() if r is RuleName.DIS), default=None)
     if node is None:
         raise ValueError("pre-proof contains no Dis node")
     parents = t.parent_map()
-    chain = [min(s for s in t.preds[node].source if s in ars._nf)]
+    chain = [next(s for s in t.preds[node].source if s in ars._nf)]
     while node != t.root:
         node = parents[node]
         if t.rules[node] is RuleName.DER:
             cur = chain[-1]
-            pred_state = min(s for s in t.preds[node].source if cur in ars.succs[s])
+            pred_state = next(s for s in t.preds[node].source if cur in ars.succs[s])
             if pred_state != cur:
                 chain.append(pred_state)
         # Subs: the chosen state survives the subtraction unchanged.
     return ExecutionPath(tuple(reversed(chain)), is_maximal=True)
 
 
-def extract_lasso(ars: Ars, pred: AprPredicate) -> Lasso:
+def extract_lasso(ars: System, pred: AprPredicate) -> Lasso:
     """Find a target-free infinite run, as a lasso, in the avoiding region.
 
     Deterministic: the cycle is entered at the region vertex with the
@@ -254,7 +255,7 @@ def extract_lasso(ars: Ars, pred: AprPredicate) -> Lasso:
     return Lasso(stem, (entry,) + bfs_path(ring, closer))
 
 
-def witness_violations(ars: Ars, pred: AprPredicate, witness: Witness) -> list[str]:
+def witness_violations(ars: System, pred: AprPredicate, witness: Witness) -> list[str]:
     """Check a witness against the original query's invariants."""
     src = set(pred.source)
     tgt = set(pred.target)

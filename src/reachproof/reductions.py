@@ -7,13 +7,17 @@ and covers every reachable non-error normal form.  Computing such a target
 is exactly what the `any`-sink construction avoids: adding a fresh
 irreducible state reachable from every non-error state turns `<P> => <{any}>`
 into an exact (not approximate) encoding of error non-reachability.
+
+Each sink comes from `with_sink`: on an `Ars` it is a table of feeder
+edges, on a lazy system a rule ("every error state feeds `error`", "every
+non-error state feeds `any`") applied to the states a query reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ars import Ars, ArsError, StateSet, canon, reachable
+from .ars import ArsError, StateSet, System, canon, reachable
 from .proofs import AprPredicate
 
 
@@ -33,7 +37,7 @@ class SafetyCheckReport:
         return self.disjoint_ok and self.covers_nf_ok and self.q_irreducible_ok
 
 
-def validate_safety_predicate(ars: Ars, p, q, e) -> SafetyCheckReport:
+def validate_safety_predicate(ars: System, p, q, e) -> SafetyCheckReport:
     """Evaluate the safety-goal conditions for target `q` and errors `e`.
 
     Requires `e` to be irreducible; reducible error states must be routed
@@ -49,7 +53,7 @@ def validate_safety_predicate(ars: Ars, p, q, e) -> SafetyCheckReport:
         raise ArsError(
             f"error states must be irreducible (got {labels}); apply augment_error first")
     disjoint_offenders = canon(set(q).intersection(e))
-    covers_offenders = canon(set(reachable(ars, p)).intersection(nf).difference(e, q))
+    covers_offenders = canon(set(filter(nf.__contains__, reachable(ars, p))).difference(e, q))
     irr_offenders = canon(t for t in q if t not in nf)
     return SafetyCheckReport(
         disjoint_ok=not disjoint_offenders,
@@ -61,16 +65,16 @@ def validate_safety_predicate(ars: Ars, p, q, e) -> SafetyCheckReport:
     )
 
 
-def _fresh_label(ars: Ars, base: str) -> str:
-    if base not in ars.index:
+def _fresh_label(ars: System, base: str) -> str:
+    if not ars.has_label(base):
         return base
     k = 1
-    while f"{base}_{k}" in ars.index:
+    while ars.has_label(f"{base}_{k}"):
         k += 1
     return f"{base}_{k}"
 
 
-def augment_error(ars: Ars, error_states) -> tuple[Ars, int]:
+def augment_error(ars: System, error_states) -> tuple[System, int]:
     """Add a fresh irreducible `error` object fed by every error state.
 
     Original ids are preserved as a prefix; the fresh object takes the next
@@ -82,19 +86,17 @@ def augment_error(ars: Ars, error_states) -> tuple[Ars, int]:
     return ars.with_sink(_fresh_label(ars, "error"), error_states), ars.n
 
 
-def augment_any(ars: Ars, e) -> tuple[Ars, int]:
+def augment_any(ars: System, e) -> tuple[System, int]:
     """Add a fresh irreducible `any` sink reachable from every non-error state."""
     e = ars.check_members(e)
     bad = [s for s in e if not ars.is_normal_form(s)]
     if bad:
         labels = ", ".join(ars.labels[s] for s in bad)
         raise ArsError(f"augment_any needs irreducible error states (got {labels})")
-    eset = set(e)
-    feeders = [s for s in range(ars.n) if s not in eset]
-    return ars.with_sink(_fresh_label(ars, "any"), feeders), ars.n
+    return ars.with_sink(_fresh_label(ars, "any"), e, complement=True), ars.n
 
 
-def build_safety_query(ars: Ars, p, e_raw) -> tuple[Ars, AprPredicate]:
+def build_safety_query(ars: System, p, e_raw) -> tuple[System, AprPredicate]:
     """Reduce error non-reachability to one partial-validity goal.
 
     Reducible error states are first funneled into a fresh `error` state;

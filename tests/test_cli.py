@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from reachproof import cli
 from reachproof.cli import main, report_from_json, report_to_json
 
-from conftest import A1_TEXT
+from conftest import A1_TEXT, semaphore_source
 
 
 @pytest.fixture
@@ -120,6 +120,37 @@ class TestCheck:
         code, out, err = run(capsys, "expand", "--model", str(path))
         assert (code, out) == (2, "")
         assert err == "error: state space of 1000000000001 states exceeds cap 1000000\n"
+
+    def test_wide_domain_stops_a_query_at_once(self, capsys, tmp_path):
+        path = tmp_path / "wide.model"
+        path.write_text("var x: int[0..1000000000000] = 0\n"
+                        "process P {\n  loc a init\n  edge a -> a do x := 1\n}\n")
+        code, out, err = run(capsys, "safety", "--model", str(path),
+                             "--from", "x = 0", "--error", "x = 1")
+        assert (code, out) == (2, "")
+        assert err == "error: 1000000000001 valuations of the variables exceed cap 1000000\n"
+
+    def test_query_past_the_product_cap(self, capsys, tmp_path):
+        # 3^12 * 2 = 1,062,882 states, more than the default cap: a query
+        # explores only the states it reaches.
+        path = tmp_path / "sem12.model"
+        path.write_text(semaphore_source(12, None))
+        idle = " && ".join(f"loc(P{m})=idle{m}" for m in range(12)) + " && !lock"
+        code, out, _ = run(capsys, "safety", "--model", str(path), "--from", idle,
+                           "--error", "loc(P0)=crit0 && loc(P5)=crit5")
+        assert code == 0
+        assert out.startswith("safe: no error state reachable\nverdict: PartiallyValid\n")
+
+    def test_query_exploring_past_the_cap(self, capsys, tmp_path):
+        # Semaphore-8 reaches 1,280 of its 13,122 states.
+        path = tmp_path / "sem8.model"
+        path.write_text(semaphore_source(8, None))
+        idle = " && ".join(f"loc(P{m})=idle{m}" for m in range(8)) + " && !lock"
+        crit = " && ".join(f"loc(P{m})=crit{m}" for m in range(8))
+        code, out, err = run(capsys, "safety", "--model", str(path), "--from", idle,
+                             "--error", crit, "--max-states", "500", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: query explored 500 states, reaching cap 500\n"
 
     @pytest.mark.parametrize("source", ["(" * 400 + "b0" + ")" * 400, "!" * 1200 + "b0"],
                              ids=["parentheses", "negations"])

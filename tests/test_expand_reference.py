@@ -6,7 +6,9 @@ renders every state, sorts the labels and interns the states by their
 `expand` computes the same ids as mixed-radix numbers and evaluates each
 edge once per valuation; the two must agree on everything they return and
 on the first domain error they report.  State predicates are checked
-against a filter over the reference's states.
+against a filter over the reference's states, and the digit walk of
+`eval_state_predicate` against a per-state scan, on the eager table and
+on the on-the-fly system.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from reachproof import (
     Ars,
     Model,
     ModelError,
+    ModelSystem,
     canon,
     eval_state_predicate,
     expand,
@@ -29,6 +32,7 @@ from reachproof import (
 from reachproof.modeling import (
     DomainError,
     ModelState,
+    StateLimitError,
     ProcessDecl,
     _compile,
     _compile_assign,
@@ -281,11 +285,53 @@ def test_state_predicates_match_a_filter_over_the_reference(text, data):
         assert eval_state_predicate(expansion, expr) == want, expr
 
 
+@st.composite
+def _formulas(draw, variables, processes):
+    """Nested `&&`/`||`/`!` formulas over every kind of atom."""
+    return draw(st.recursive(
+        _atom(variables, processes),
+        lambda inner: st.one_of(
+            inner.map(lambda e: f"!({e})"),
+            st.tuples(inner, st.sampled_from([" && ", " || "]), inner).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})")),
+        max_leaves=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_models(), st.data())
+def test_digit_walk_matches_the_per_state_scan(text, data):
+    model = parse_model(text)
+    try:
+        expansion = expand(model)
+    except DomainError:
+        assume(False)
+    system = ModelSystem(model)
+    variables = [(v.name, None if v.is_bool else (v.lo, v.hi)) for v in model.variables]
+    for _ in range(4):
+        expr = data.draw(_formulas(variables, model.processes))
+        test = _compile(model, parse_state_expr(expr), allow_loc=True)
+        want = tuple(sid for sid, s in enumerate(expansion.states) if test(s.locs, s.values))
+        assert eval_state_predicate(expansion, expr) == want, expr
+        assert eval_state_predicate(system, expr) == want, expr
+
+
+def test_predicate_sets_are_capped():
+    system = ModelSystem(parse_model(NO_VARIABLES), max_states=3)
+    assert eval_state_predicate(system, "loc(P)=a1 && loc(Q)=b") == (3,)
+    assert eval_state_predicate(system, "loc(Q)=b") == (1, 3, 5)
+    with pytest.raises(StateLimitError, match="selects 4 states, more than cap 3"):
+        eval_state_predicate(system, "loc(Q)=b1 || loc(P)=a")
+    with pytest.raises(StateLimitError, match="selects 6 states, more than cap 3"):
+        eval_state_predicate(system, "true")
+
+
 @pytest.mark.parametrize("locations", [("a", "a"), ("a b", "c")])
 def test_hand_built_locations_must_make_distinct_valid_labels(locations):
     model = Model((), (ProcessDecl("P", locations, locations[:1], ()),))
     with pytest.raises(ModelError, match="distinct valid state labels"):
         expand(model)
+    with pytest.raises(ModelError, match="distinct valid state labels"):
+        ModelSystem(model)
 
 
 def test_field_order_follows_the_separator():

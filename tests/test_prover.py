@@ -183,6 +183,31 @@ class TestExtractFiniteCounterexample:
         with pytest.raises(ValueError):
             extract_finite_counterexample(a1, pp)
 
+    def test_first_hits_are_the_smallest_predecessors(self):
+        # A 3,000-state spine with a detour at every third state: the
+        # disproof of {s0} => {} carries sources of up to 1,001 states.
+        n = 3000
+        edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(0, n - 2, 3)]
+        ars = Ars([f"s{i}" for i in range(n)], edges)
+        pp = prove(ars, predicate((0,), ()), EAGER)
+        assert max(len(p.source) for p in pp.tree.preds) == 1001
+        assert extract_finite_counterexample(ars, pp).steps == _min_counterexample(ars, pp)
+
+
+def _min_counterexample(ars, pp) -> tuple[int, ...]:
+    """The finite witness as read off with whole-source `min` scans."""
+    t = pp.tree
+    node = min(v for v, r in t.rules.items() if r is RuleName.DIS)
+    parents = t.parent_map()
+    chain = [min(s for s in t.preds[node].source if ars.is_normal_form(s))]
+    while node != t.root:
+        node = parents[node]
+        if t.rules[node] is RuleName.DER:
+            pred_state = min(s for s in t.preds[node].source if chain[-1] in ars.succs[s])
+            if pred_state != chain[-1]:
+                chain.append(pred_state)
+    return tuple(reversed(chain))
+
 
 class TestExtractLasso:
     def test_cycle_entered_at_source(self, a1):
