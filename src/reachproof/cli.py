@@ -170,8 +170,8 @@ def _run_query(args, command: str, ars: System, pred: AprPredicate, mode: str,
             "nodes": verd.stats.nodes,
             "buds": verd.stats.buds,
             "rules": verd.stats.rule_counts,
-            "graph_vertices": len(verd.graph.vertices),
-            "graph_edges": len(verd.graph.edges),
+            "graph_vertices": verd.graph.vertex_count,
+            "graph_edges": verd.graph.edge_count,
             "graph_acyclic": verd.acyclic,
         }
         kind, witness = verd.kind, verd.witness

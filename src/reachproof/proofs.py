@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import filterfalse
 from typing import AbstractSet, Callable, Container, Iterable, Iterator
 
 from .ars import ArsError, StateSet, System, canon, cyclic_sccs, derivative, image, is_runnable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AprPredicate:
     """An all-path reachability goal: source set => target set.
 
@@ -37,9 +38,16 @@ class AprPredicate:
     target: StateSet
     is_bottom: bool = False
 
-    def __post_init__(self) -> None:
-        if self.is_bottom and (self.source or self.target):
+    def __init__(self, source: StateSet, target: StateSet, is_bottom: bool = False) -> None:
+        if is_bottom and (source or target):
             raise ValueError("bottom predicate must carry empty sets")
+        # A proof makes one predicate per node, so the fields are stored in
+        # the instance dict directly, not by one `object.__setattr__` call
+        # each as a generated frozen `__init__` does.
+        fields = self.__dict__
+        fields["source"] = source
+        fields["target"] = target
+        fields["is_bottom"] = is_bottom
 
     def __str__(self) -> str:
         if self.is_bottom:
@@ -59,13 +67,10 @@ def format_predicate(ars: System, pred: AprPredicate) -> str:
     return predicate_formatter(ars)(pred)
 
 
-def predicate_formatter(ars: System, escape: Callable[[str], str] = str
-                        ) -> Callable[[AprPredicate], str]:
-    """`format_predicate` for the many goals of one output, passed through
-    `escape` (which must act character by character).  The goals of a
-    proof share the root's target tuple, so the rendered and escaped target
-    is kept until a goal brings another tuple: once per output, not once
-    per goal."""
+def predicate_formatter(ars: System) -> Callable[[AprPredicate], str]:
+    """`format_predicate` for the many goals of one output.  The goals of a
+    proof share the root's target tuple, so the rendered target is kept
+    until a goal brings another tuple: once per output, not once per goal."""
     label = ars.labels.__getitem__
     target: StateSet | None = None
     tail = ""
@@ -76,8 +81,8 @@ def predicate_formatter(ars: System, escape: Callable[[str], str] = str
             return "BOT"
         if pred.target is not target:
             target = pred.target
-            tail = escape("} => {" + ",".join(map(label, target)) + "}")
-        return "{" + escape(",".join(map(label, pred.source))) + tail
+            tail = "} => {" + ",".join(map(label, target)) + "}"
+        return "{" + ",".join(map(label, pred.source)) + tail
     return fmt
 
 
@@ -91,9 +96,6 @@ class RuleName(Enum):
         return self.value
 
 
-_RULES = tuple(RuleName)
-
-
 class SplitStrategy(Enum):
     """How ``Subs``/``Der`` premises partition their result set.
 
@@ -105,6 +107,12 @@ class SplitStrategy(Enum):
 
     EAGER = "eager"
     MONOLITHIC = "monolithic"
+
+
+# Members bound once for the per-goal step: before Python 3.12, reading a
+# member off its Enum class runs Python code (about 0.15 us a read).
+_AXIOM, _SUBS, _DER, _DIS = RuleName
+_MONOLITHIC = SplitStrategy.MONOLITHIC
 
 
 def applicable_rules(ars: System, pred: AprPredicate) -> list[RuleName]:
@@ -127,34 +135,9 @@ def applicable_rules(ars: System, pred: AprPredicate) -> list[RuleName]:
 
 def applicable_rule(ars: System, pred: AprPredicate,
                     target_set: AbstractSet[int] | None = None) -> RuleName:
-    """The unique rule applicable to a canonical non-bottom goal.
-
-    Costs one pass over the source, whatever the proof around the goal:
-    because both sets are canonical, ids are range-checked at the ends of
-    each tuple, and the overlap and the normal-form hit are
-    ``isdisjoint`` tests.  `target_set` is ``set(pred.target)`` when the
-    caller already holds it, and is built here otherwise.  Out-of-table ids
-    raise UnknownObjectError.
-    """
-    if pred.is_bottom:
-        raise ValueError("no rule applies to the bottom predicate")
-    p = pred.source
-    n = ars.n
-    for ids in (p, pred.target):
-        if ids and (ids[0] < 0 or ids[-1] >= n):
-            ars.check_members(ids)  # raises, naming the bad ids
-    if target_set is None:
-        target_set = frozenset(pred.target)
-    overlap = not target_set.isdisjoint(p)
-    # Only a target-free source is tested for normal forms: on a lazy
-    # system the test computes successors, and no goal needs those of a
-    # target state.
-    stuck = not overlap and not ars._nf.isdisjoint(p)
-    # Side conditions in RuleName order: Axiom, Subs, Der, Dis.
-    holds = (not p, overlap, bool(p) and not overlap and not stuck,
-             bool(p) and not overlap and stuck)
-    assert sum(holds) == 1, f"rule uniqueness violated for {pred}: {holds}"
-    return _RULES[holds.index(True)]
+    """The unique rule applicable to a canonical non-bottom goal: the rule
+    of the step `premises` takes on it (test surface)."""
+    return premises(ars, pred, SplitStrategy.MONOLITHIC, (), target_set)[0]
 
 
 def premises(
@@ -164,8 +147,16 @@ def premises(
     fold_states: Container[int] = (),
     target_set: AbstractSet[int] | None = None,
 ) -> tuple[RuleName, list[AprPredicate]]:
-    """Apply the unique rule to the canonical goal `pred` and return its
-    child goals, which are canonical again and share the parent's target.
+    """Apply the unique rule to the canonical goal `pred` and return it with
+    the child goals, which are canonical again and share the parent's target.
+
+    The side conditions are tested in the order Axiom, Subs, Dis, Der; each
+    excludes the ones before it, so exactly one rule applies.  Because both
+    sets are canonical, ids are range-checked at the ends of each tuple, and
+    the overlap and the normal-form hit are ``isdisjoint`` tests; out-of-table
+    ids raise UnknownObjectError.  Only a target-free source is tested for
+    normal forms: on a lazy system the test computes successors, and no goal
+    needs those of a target state.
 
     `fold_states` holds the states whose singleton goal (with the target of
     `pred`) is a companion available to the caller; the eager strategy
@@ -179,26 +170,30 @@ def premises(
     the single ``Subs`` child of a goal whose source is already contained
     in the target.
     """
-    if target_set is None:
-        target_set = frozenset(pred.target)
-    rule = applicable_rule(ars, pred, target_set)
+    if pred.is_bottom:
+        raise ValueError("no rule applies to the bottom predicate")
     p, q = pred.source, pred.target
-    if rule is RuleName.AXIOM:
-        return rule, []
-    if rule is RuleName.SUBS:
-        return rule, [AprPredicate(tuple(filterfalse(target_set.__contains__, p)), q)]
-    if rule is RuleName.DIS:
-        return rule, [BOTTOM]
+    n = ars.n
+    if p and (p[0] < 0 or p[-1] >= n) or q and (q[0] < 0 or q[-1] >= n):
+        ars.check_members(p)  # raises, naming the bad ids
+        ars.check_members(q)
+    if not p:
+        return _AXIOM, []
+    if target_set is None:
+        target_set = frozenset(q)
+    if not target_set.isdisjoint(p):
+        return _SUBS, [AprPredicate(tuple(filterfalse(target_set.__contains__, p)), q)]
+    if not ars._nf.isdisjoint(p):
+        return _DIS, [BOTTOM]
     deriv = tuple(sorted(image(ars, p)))
-    if strategy is SplitStrategy.MONOLITHIC:
-        return rule, [AprPredicate(deriv, q)]
-    folded = tuple(filter(fold_states.__contains__, deriv))
-    if not folded:
-        return rule, [AprPredicate(deriv, q)]
-    parts = [AprPredicate((t,), q) for t in folded]
-    if len(folded) < len(deriv):
-        parts.append(AprPredicate(tuple(filterfalse(fold_states.__contains__, deriv)), q))
-    return rule, parts
+    if strategy is not _MONOLITHIC:
+        folded = tuple(filter(fold_states.__contains__, deriv))
+        if folded:
+            parts = [AprPredicate((t,), q) for t in folded]
+            if len(folded) < len(deriv):
+                parts.append(AprPredicate(tuple(filterfalse(fold_states.__contains__, deriv)), q))
+            return _DER, parts
+    return _DER, [AprPredicate(deriv, q)]
 
 
 @dataclass
@@ -226,7 +221,7 @@ class DerivationTree:
                 if v not in self.children and not p.is_bottom]
 
     def preorder(self) -> Iterator[int]:
-        stack = [self.root]
+        stack = [self.root] if self.preds else []
         while stack:
             v = stack.pop()
             yield v
@@ -410,37 +405,101 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
 class ProofGraph:
     """Quotient of a closed pre-proof: buds identified with companions.
 
-    Vertices are the tree's non-open nodes in preorder; an edge leads from
-    a node to each child, with bud children redirected to their companions.
-    Every edge is labeled (via `rules`) by the rule of its source vertex.
+    A view of `pre_proof`, whose buds must be exactly its open leaves, as
+    `proof_graph` checks.  Vertices are the tree's non-bud nodes in
+    preorder; an edge leads from a node to each child, with bud children
+    redirected to their companions, and parallel edges collapse.  Every
+    edge is labeled (via `rules`) by the rule of its source vertex.
     `predicates` and `rules` are the tree's own tables, indexed by node id;
-    `predicates` also holds the buds, which are not vertices.
+    `predicates` also holds the buds, which are not vertices.  The
+    `vertices` and `edges` tuples are built on first read; their counts
+    come from the tree's size, the buds and the children of bud parents,
+    so a query that prints only the counts never builds them.
     """
 
-    vertices: tuple[int, ...]
-    predicates: list[AprPredicate]
-    rules: dict[int, RuleName]
-    edges: tuple[tuple[int, int], ...]
+    pre_proof: PreProof
+
+    @property
+    def predicates(self) -> list[AprPredicate]:
+        return self.pre_proof.tree.preds
+
+    @property
+    def rules(self) -> dict[int, RuleName]:
+        return self.pre_proof.tree.rules
+
+    @property
+    def vertex_count(self) -> int:
+        return self.pre_proof.tree.node_count - len(self.pre_proof.xi)
+
+    @cached_property
+    def edge_count(self) -> int:
+        # One edge per tree link, less the links that a redirected bud merges
+        # into a parallel edge: those are all children of a bud's parent.
+        t, xi = self.pre_proof.tree, self.pre_proof.xi
+        merged = 0
+        for v in {self._parents[b] for b in xi}:
+            kids = t.children[v]
+            merged += len(kids) - len({xi.get(c, c) for c in kids})
+        return sum(map(len, t.children.values())) - merged
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(filterfalse(self.pre_proof.xi.__contains__, self.pre_proof.tree.preorder()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        children, xi = self.pre_proof.tree.children, self.pre_proof.xi
+        # Keyed by edge, in first-seen order: parallel edges collapse.
+        return tuple(dict.fromkeys((v, xi.get(c, c))
+                                   for v in self.vertices for c in children.get(v, ())))
+
+    @cached_property
+    def _parents(self) -> dict[int, int]:
+        return self.pre_proof.tree.parent_map()
 
 
 def proof_graph(pp: PreProof) -> ProofGraph:
-    """Build the proof graph of a closed pre-proof (deterministic order)."""
+    """The proof graph of a closed pre-proof (deterministic order).
+
+    Its buds must be its open leaves: every node without a children entry
+    is a bud or bottom, and no bud has one.
+    """
     t = pp.tree
-    open_leaves = set(t.open_leaves())
-    if not open_leaves <= pp.xi.keys():
+    leaves = set(range(t.node_count)).difference(t.children, pp.xi)
+    if (any(not t.preds[v].is_bottom for v in leaves)
+            or not t.children.keys().isdisjoint(pp.xi)):
         raise ValueError("proof graph requires a closed pre-proof")
-    vertices = tuple(v for v in t.preorder() if v not in open_leaves)
-    # Keyed by edge, in first-seen order: parallel edges collapse.
-    edges = dict.fromkeys((v, pp.xi[c] if c in open_leaves else c)
-                          for v in vertices for c in t.children.get(v, ()))
-    return ProofGraph(vertices, t.preds, t.rules, tuple(edges))
+    return ProofGraph(pp)
 
 
 def is_acyclic(g: ProofGraph) -> bool:
-    """True iff the proof graph has no directed cycle."""
-    succs: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for a, b in g.edges:
-        succs[a].append(b)
+    """True iff the proof graph has no directed cycle.
+
+    Tree edges alone close no cycle, so a cycle takes the edge from some
+    bud's parent to its companion, and from there follows tree edges down
+    to the parent of the next bud.  The graph is therefore cyclic iff its
+    bud graph is: one step per bud, from bud b1 to every bud b2 whose
+    parent is `xi[b1]` or lies below it.  To keep that graph linear in the
+    buds, the step runs through the companions and bud parents as
+    vertices: each is entered from its nearest such proper ancestor, and
+    a bud's parent leads to the bud's companion.
+    """
+    xi, parents = g.pre_proof.xi, g._parents
+    succs: dict[int, list[int]] = {c: [] for c in xi.values()}
+    for b, c in xi.items():
+        succs.setdefault(parents[b], []).append(c)
+    above: dict[int, int | None] = {}  # other nodes: the nearest ancestor in succs
+    for k in succs:
+        path = []
+        v = parents.get(k)
+        while v is not None and v not in succs and v not in above:
+            path.append(v)
+            v = parents.get(v)
+        top = above.get(v, v)
+        for u in path:
+            above[u] = top
+        if top is not None:
+            succs[top].append(k)
     return next(cyclic_sccs(succs), None) is None
 
 
@@ -493,14 +552,10 @@ def graph_violations(ars: System, g: ProofGraph) -> list[str]:
     return problems
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def to_dot(ars: System, g: ProofGraph) -> str:
     """Render the proof graph as deterministic DOT (byte-for-byte stable)."""
     order = {v: i for i, v in enumerate(g.vertices)}
-    fmt = predicate_formatter(ars, _dot_escape)
+    fmt = predicate_formatter(ars)
     lines = ["digraph proof {"]
     for v in g.vertices:
         pred = g.predicates[v]

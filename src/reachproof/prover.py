@@ -13,7 +13,6 @@ dug out of the target-avoiding region.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -130,44 +129,51 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
     # Every goal has the root's target, so a companion is keyed by its
     # source, the target is one set for the whole query, and the eager
     # split needs only the states whose singleton goal is a companion.
+    # A goal claims its source's companion entry before its rule is known
+    # and gives it back unless the rule is Der.
     companions: dict[StateSet, int] = {}
     fold_states: set[int] = set()
     target_set = frozenset(pred.target)
+    budget = cfg.node_budget
+    strategy = cfg.strategy
+    der, dis = RuleName.DER, RuleName.DIS
     queue = [0]
 
     for done, v in enumerate(queue):  # grows while walked: a FIFO queue of open goals
         pv = preds[v]
-        comp = companions.get(pv.source)
-        if comp is not None:
+        source = pv.source
+        comp = companions.setdefault(source, v)
+        if comp != v:
             xi[v] = comp
             continue
-        rule, kid_preds = premises(ars, pv, cfg.strategy, fold_states, target_set)
+        rule, kid_preds = premises(ars, pv, strategy, fold_states, target_set)
         rules[v] = rule
-        kid_ids = []
-        for kp in kid_preds:
-            if len(preds) >= cfg.node_budget:
-                raise NodeBudgetExceeded(
-                    f"node budget {cfg.node_budget} exceeded: {len(preds)} nodes made, "
-                    f"{len(queue) - done} goals open, largest source set "
-                    f"{max(len(p.source) for p in preds)} states")
-            w = len(preds)
-            preds.append(kp)
-            kid_ids.append(w)
-            if not kp.is_bottom:
-                queue.append(w)
-        children[v] = tuple(kid_ids)
-        if rule is RuleName.DER:
-            companions[pv.source] = v
-            if len(pv.source) == 1:
-                fold_states.add(pv.source[0])
+        w = len(preds)
+        if w + len(kid_preds) > budget:
+            made = kid_preds[:budget - w]
+            preds += made  # the nodes made up to the cap, as the message counts them
+            raise NodeBudgetExceeded(
+                f"node budget {budget} exceeded: {len(preds)} nodes made, "
+                f"{len(queue) - done + len(made)} goals open, largest source set "
+                f"{max(len(p.source) for p in preds)} states")
+        preds += kid_preds
+        kids = range(w, len(preds))
+        children[v] = tuple(kids)
+        if rule is der:
+            if len(source) == 1:
+                fold_states.add(source[0])
+        else:
+            del companions[source]
+        if rule is not dis:  # the bottom child of Dis is closed
+            queue += kids
 
     return PreProof(DerivationTree(preds, rules, children, 0), xi)
 
 
 def stats_of(pp: PreProof) -> ProofStats:
-    counts = Counter(pp.tree.rules.values())
+    rules = list(pp.tree.rules.values())
     return ProofStats(nodes=pp.tree.node_count, buds=len(pp.xi),
-                      rule_counts={r.value: counts[r] for r in RuleName})
+                      rule_counts={r.value: rules.count(r) for r in RuleName})
 
 
 def check_partial(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> Verdict:

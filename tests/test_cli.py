@@ -113,6 +113,23 @@ class TestCheck:
         assert err == ("error: node budget 2 exceeded: 2 nodes made, 1 goals open, "
                        "largest source set 2 states\n")
 
+    # From {r}: a Der node {a,b} whose eager split is ({r}, {c,d,e}); {r}
+    # closes as a bud and {c,d,e} gets Dis, whose child is bottom.  A cap of
+    # 3 falls between the split's children, a cap of 4 on the bottom child:
+    # the message counts only the nodes made before the cap.
+    @pytest.mark.parametrize("cap, err", [
+        (3, "3 nodes made, 2 goals open, largest source set 2 states"),
+        (4, "4 nodes made, 1 goals open, largest source set 3 states"),
+    ])
+    def test_node_budget_message_counts_the_nodes_made(self, capsys, tmp_path, cap, err):
+        path = tmp_path / "split.ars"
+        path.write_text("states r a b c d e z\ntrans r a\ntrans r b\ntrans a r\ntrans a c\n"
+                        "trans b r\ntrans b d\ntrans b e\n")
+        code, out, got = run(capsys, "check", "--ars", str(path), "--max-nodes", str(cap),
+                             "--source", "r", "--target", "z")
+        assert (code, out) == (2, "")
+        assert got == f"error: node budget {cap} exceeded: {err}\n"
+
     def test_wide_domain_hits_the_state_cap(self, capsys, tmp_path):
         path = tmp_path / "wide.model"
         path.write_text("var x: int[0..1000000000000] = 0\n"

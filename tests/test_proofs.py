@@ -325,11 +325,17 @@ class TestValidation:
         assert not any("union" in str(v) for v in report.violations)
 
 
+def assert_counts(g) -> None:
+    """The counts read off the buds match the built tuples."""
+    assert (g.vertex_count, g.edge_count) == (len(g.vertices), len(g.edges))
+
+
 class TestProofGraph:
     def test_worked_proof_graph(self, a1):
         g = proof_graph(hand_built_proof(a1))
         assert g.vertices == (0, 1, 2, 4, 5)
         assert set(g.edges) == {(0, 1), (1, 2), (2, 0), (2, 4), (4, 5)}
+        assert_counts(g)
         assert not is_acyclic(g)
 
     def test_axiom_only_graph(self, a1):
@@ -337,7 +343,26 @@ class TestProofGraph:
         g = proof_graph(pp)
         assert len(g.vertices) == 1
         assert g.edges == ()
+        assert_counts(g)
         assert is_acyclic(g)
+
+    def test_parallel_edges_collapse(self):
+        # x -> x; the Der split {x} = {x} u {x} makes two buds on one
+        # companion, which are one edge of the graph.
+        ars = Ars(["x"], [(0, 0)])
+        preds = [predicate((0,), ())] * 3
+        pp = PreProof(DerivationTree(preds, {0: RuleName.DER}, {0: (1, 2)}, 0), {1: 0, 2: 0})
+        assert validate_pre_proof(ars, pp).ok
+        g = proof_graph(pp)
+        assert (g.vertices, g.edges) == ((0,), ((0, 0),))
+        assert_counts(g)
+        assert not is_acyclic(g)
+
+    def test_bud_with_children_rejected(self, a1):
+        pp = hand_built_proof(a1)
+        pp.xi[2] = 0
+        with pytest.raises(ValueError):
+            proof_graph(pp)
 
     def test_open_pre_proof_rejected(self, a1):
         pp = hand_built_proof(a1)
@@ -347,12 +372,15 @@ class TestProofGraph:
 
     def test_empty_graph_acyclic(self):
         from reachproof.proofs import ProofGraph
-        assert is_acyclic(ProofGraph((), {}, {}, ()))
+        g = ProofGraph(PreProof(DerivationTree([], {}, {}), {}))
+        assert is_acyclic(g)
+        assert_counts(g)
 
     def test_disproof_graph_includes_bottom(self, a1):
         g = proof_graph(hand_built_disproof(a1))
         assert len(g.vertices) == 3
         assert g.predicates[2].is_bottom
+        assert_counts(g)
         assert is_acyclic(g)
 
     def test_worked_graphs_satisfy_structural_facts(self, a1):
@@ -399,12 +427,25 @@ digraph proof {
         # Equal targets in distinct tuples, a change of target, and bottom.
         goals = [predicate((0,), (2, 3)), predicate((1, 3), (2, 3)), BOTTOM,
                  predicate((), (1,)), predicate((0, 1), (2, 3))]
+        fmt = predicate_formatter(a1)
+        assert [fmt(g) for g in goals] == [format_predicate(a1, g) for g in goals]
 
-        def escape(text):
-            return text.replace(",", ";")
-
-        fmt = predicate_formatter(a1, escape)
-        assert [fmt(g) for g in goals] == [escape(format_predicate(a1, g)) for g in goals]
+    def test_labels_with_every_admitted_punctuation_print_verbatim(self):
+        # Labels admit _ . < > , - besides letters and digits, and none of
+        # them needs escaping inside a quoted DOT label.
+        ars = Ars(["a_1", "b.2", "<c,d>", "e-f"], [(0, 1), (1, 2)])
+        dot = to_dot(ars, proof_graph(prove(ars, AprPredicate((0,), (3,)))))
+        assert dot == """\
+digraph proof {
+  n0 [label="{a_1} => {e-f}"];
+  n1 [label="{b.2} => {e-f}"];
+  n2 [label="{<c,d>} => {e-f}"];
+  n3 [label="BOT", shape=doublecircle];
+  n0 -> n1 [label="Der"];
+  n1 -> n2 [label="Der"];
+  n2 -> n3 [label="Dis"];
+}
+"""
 
 
 def _reach(succs, starts) -> set:
@@ -433,5 +474,38 @@ def test_is_acyclic_agrees_with_brute_force_on_the_fuzz_corpus():
                 succs[a].append(b)
             cyclic = any(v in _reach(succs, succs[v]) for v in g.vertices)
             assert is_acyclic(g) == (not cyclic)
+            assert_counts(g)
             seen.add(cyclic)
+    assert seen == {True, False}
+
+
+def test_cycle_test_and_counts_on_random_trees():
+    """Random trees with shuffled ids, each bud on a random inner node (not
+    only an ancestor, and several buds of one parent on one companion): the
+    cycle test on the buds agrees with brute force over the built edges,
+    and the counts with the built tuples."""
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        order = rng.sample(range(n), n)
+        children: dict[int, tuple[int, ...]] = {}
+        for i in range(1, n):
+            parent = order[rng.randrange(i)]
+            children[parent] = children.get(parent, ()) + (order[i],)
+        xi = {}
+        for v in range(n):
+            if v not in children and v != order[0] and children and rng.random() < 0.7:
+                xi[v] = rng.choice(list(children))
+        children.update({v: () for v in range(n) if v not in children and v not in xi})
+        preds = [AprPredicate((), ())] * n
+        tree = DerivationTree(preds, dict.fromkeys(children, RuleName.DER), children, order[0])
+        g = proof_graph(PreProof(tree, xi))
+        succs = {v: [] for v in g.vertices}
+        for a, b in g.edges:
+            succs[a].append(b)
+        cyclic = any(v in _reach(succs, succs[v]) for v in g.vertices)
+        assert is_acyclic(g) == (not cyclic)
+        assert_counts(g)
+        seen.add(cyclic)
     assert seen == {True, False}

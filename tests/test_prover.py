@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from reachproof import (
     is_acyclic,
     oracle_partial,
     oracle_total,
+    parse_ars,
     predicate,
     proof_graph,
     prove,
@@ -291,6 +295,56 @@ def test_proof_graph_cyclic_iff_not_totally_valid():
             continue
         acyclic = is_acyclic(proof_graph(pp))
         assert acyclic == oracle_total(ars, pred).valid
+
+
+def _acyclic_by_peeling(g) -> bool:
+    """Reference cycle test over the edges: deleting, again and again, the
+    vertices no edge enters deletes them all iff there is no cycle."""
+    succs = {v: [] for v in g.vertices}
+    entering = dict.fromkeys(g.vertices, 0)
+    for a, b in g.edges:
+        succs[a].append(b)
+        entering[b] += 1
+    free = [v for v, k in entering.items() if k == 0]
+    deleted = 0
+    while free:
+        deleted += 1
+        for w in succs[free.pop()]:
+            entering[w] -= 1
+            if entering[w] == 0:
+                free.append(w)
+    return deleted == len(entering)
+
+
+def test_rings_workload_graphs_and_verdicts():
+    """Every goal of the benchmark's `rings` workload (seeds 1 and 2, both
+    strategies, both modes): the cycle test on the buds agrees with one over
+    the built edges, the counts match the built tuples, and the verdict is
+    the oracle's."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while they are built.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    checks = {"partial": (check_partial, oracle_partial, VerdictKind.PARTIALLY_VALID),
+              "total": (check_total, oracle_total, VerdictKind.TOTALLY_VALID)}
+    seen = set()
+    for seed in (1, 2):
+        plan = workloads.rings(Path("rings"), seed)
+        for op in plan.ops:
+            q = op.query
+            ars = parse_ars(plan.files[q.system])
+            pred = AprPredicate(ars.ids_of(q.source), ars.ids_of(q.target))
+            cfg = ProverConfig(SplitStrategy(op.argv[op.argv.index("--strategy") + 1]))
+            check, oracle, holds = checks[q.mode]
+            verdict = check(ars, pred, cfg)
+            g = verdict.graph
+            assert is_acyclic(g) == verdict.acyclic == _acyclic_by_peeling(g), op.name
+            assert (g.vertex_count, g.edge_count) == (len(g.vertices), len(g.edges)), op.name
+            assert (verdict.kind is holds) == oracle(ars, pred).valid, op.name
+            seen.add(verdict.acyclic)
+    assert seen == {True, False}
 
 
 def test_non_canonical_root_gives_the_canonical_proof(a1):
