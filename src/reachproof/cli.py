@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .ars import ArsError, StateSet, System, parse_ars, render_ars
+from .ars import ArsError, StateSet, System, join_labels, parse_ars, render_ars
 from .modeling import (
     DEFAULT_STATE_CAP,
     Expansion,
@@ -37,6 +37,7 @@ from .oracle import oracle_partial, oracle_total
 # this namespace because bench/tracing.py wraps them here.
 from .proofs import (  # noqa: F401
     AprPredicate,
+    RuleName,
     SplitStrategy,
     is_acyclic,
     predicate_formatter,
@@ -89,10 +90,11 @@ def report_from_json(text: str) -> RunReport:
 
 def render_witness(ars: System, witness: Witness) -> str:
     if isinstance(witness, FinitePath):
-        return " -> ".join(ars.labels[i] for i in witness.path.steps)
-    head = [ars.labels[i] for i in witness.stem] + [ars.labels[witness.cycle[0]]]
-    tail = [ars.labels[i] for i in witness.cycle[1:]] + [ars.labels[witness.cycle[0]]]
-    return " -> ".join(head) + " -> (" + " -> ".join(tail) + ")*"
+        return join_labels(ars.labels, witness.path.steps, " -> ")
+    walk = witness.stem + witness.cycle + witness.cycle[:1]
+    loop = len(witness.stem) + 1
+    return (join_labels(ars.labels, walk[:loop], " -> ") + " -> ("
+            + join_labels(ars.labels, walk[loop:], " -> ") + ")*")
 
 
 def _read_text(path: str) -> str:
@@ -193,24 +195,24 @@ def _emit_proof(ars: System, verd: Verdict, path: str) -> None:
 
 def _emit_trace(ars: System, verd: Verdict, path: str) -> None:
     t = verd.pre_proof.tree
-    xi = verd.pre_proof.xi
+    preds, rules, children, xi = t.preds, t.rules, t.children, verd.pre_proof.xi
     # Proof trees are as deep as the longest run they follow, so the walk
     # is the tree's iterative preorder, not a recursion.  Lines are written
     # as they are made: their indentation makes the trace quadratic in depth.
     depth = {t.root: 0}
     fmt = predicate_formatter(ars)
+    rule_text = {rule: rule.value for rule in RuleName}
+    rule_text[None] = "open"
     with open(path, "w", encoding="utf-8") as fh:
         for v in t.preorder():
             indent = "  " * depth[v]
-            pred = fmt(t.preds[v])
+            pred = fmt(preds[v])
             if v in xi:
                 fh.write(f"{indent}bud {pred} -> node {xi[v]}\n")
                 continue
-            for c in t.children.get(v, ()):
+            for c in children.get(v, ()):
                 depth[c] = depth[v] + 1
-            rule = t.rules.get(v)
-            label = str(rule) if rule is not None else "open"
-            fh.write(f"{indent}{label} [{v}] {pred}\n")
+            fh.write(f"{indent}{rule_text[rules.get(v)]} [{v}] {pred}\n")
 
 
 class QuerySpec(NamedTuple):
@@ -284,7 +286,7 @@ def cmd_expand(args) -> int:
     args.ars = None
     _, expansion = _load_input(args)
     text = render_ars(expansion.ars)
-    init = ",".join(expansion.ars.labels[i] for i in expansion.initial)
+    init = join_labels(expansion.ars.labels, expansion.initial, ",")
     text += f"# initial: {init}\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

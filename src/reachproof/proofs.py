@@ -21,9 +21,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
-from typing import AbstractSet, Callable, Container, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator
 
-from .ars import ArsError, StateSet, System, canon, cyclic_sccs, derivative, image, is_runnable
+from .ars import (
+    ArsError,
+    StateSet,
+    System,
+    canon,
+    cyclic_sccs,
+    derivative,
+    image,
+    is_runnable,
+    join_labels,
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -70,8 +80,9 @@ def format_predicate(ars: System, pred: AprPredicate) -> str:
 def predicate_formatter(ars: System) -> Callable[[AprPredicate], str]:
     """`format_predicate` for the many goals of one output.  The goals of a
     proof share the root's target tuple, so the rendered target is kept
-    until a goal brings another tuple: once per output, not once per goal."""
-    label = ars.labels.__getitem__
+    until a goal brings another tuple: once per output, not once per goal.
+    A set's labels are gathered in one call; no rendered source is kept."""
+    labels = ars.labels
     target: StateSet | None = None
     tail = ""
 
@@ -81,8 +92,8 @@ def predicate_formatter(ars: System) -> Callable[[AprPredicate], str]:
             return "BOT"
         if pred.target is not target:
             target = pred.target
-            tail = "} => {" + ",".join(map(label, target)) + "}"
-        return "{" + ",".join(map(label, pred.source)) + tail
+            tail = "} => {" + join_labels(labels, target, ",") + "}"
+        return "{" + join_labels(labels, pred.source, ",") + tail
     return fmt
 
 
@@ -137,15 +148,16 @@ def applicable_rule(ars: System, pred: AprPredicate,
                     target_set: AbstractSet[int] | None = None) -> RuleName:
     """The unique rule applicable to a canonical non-bottom goal: the rule
     of the step `premises` takes on it (test surface)."""
-    return premises(ars, pred, SplitStrategy.MONOLITHIC, (), target_set)[0]
+    return premises(ars, pred, SplitStrategy.MONOLITHIC, frozenset(), target_set)[0]
 
 
 def premises(
     ars: System,
     pred: AprPredicate,
     strategy: SplitStrategy = SplitStrategy.EAGER,
-    fold_states: Container[int] = (),
+    fold_states: AbstractSet[int] = frozenset(),
     target_set: AbstractSet[int] | None = None,
+    stop: AbstractSet[int] | None = None,
 ) -> tuple[RuleName, list[AprPredicate]]:
     """Apply the unique rule to the canonical goal `pred` and return it with
     the child goals, which are canonical again and share the parent's target.
@@ -161,14 +173,17 @@ def premises(
     `fold_states` holds the states whose singleton goal (with the target of
     `pred`) is a companion available to the caller; the eager strategy
     splits those states of a ``Der`` result off as singleton children, in
-    id order and ahead of the rest, so they close as buds.  It is only
-    tested with ``in``, never copied or iterated, so the cost of a call
-    does not grow with the proof around it.  `target_set` is
-    ``set(pred.target)``: a caller proving many goals with one target
-    builds it once, and it is built here when omitted.  Each step is a few
-    passes in C over the source and its image.  No child is empty except
-    the single ``Subs`` child of a goal whose source is already contained
-    in the target.
+    id order and ahead of the rest, so they close as buds.  It is read
+    only by its size, by ``isdisjoint`` with the result and, on a hit, by
+    ``in``: never iterated or copied, so the cost of a call does not grow
+    with the proof around it.  `target_set` is ``set(pred.target)``: a caller proving many
+    goals with one target builds it once, and it is built here when
+    omitted.  `stop`, when given, is the union of `target_set` and the
+    normal forms, both held as sets: a source disjoint from it goes to
+    ``Der`` after one test instead of two.  Each step is a few passes in C
+    over the source and its image.  No child is empty except the single
+    ``Subs`` child of a goal whose source is already contained in the
+    target.
     """
     if pred.is_bottom:
         raise ValueError("no rule applies to the bottom predicate")
@@ -179,20 +194,20 @@ def premises(
         ars.check_members(q)
     if not p:
         return _AXIOM, []
-    if target_set is None:
-        target_set = frozenset(q)
-    if not target_set.isdisjoint(p):
-        return _SUBS, [AprPredicate(tuple(filterfalse(target_set.__contains__, p)), q)]
-    if not ars._nf.isdisjoint(p):
-        return _DIS, [BOTTOM]
+    if stop is None or not stop.isdisjoint(p):
+        if target_set is None:
+            target_set = frozenset(q)
+        if not target_set.isdisjoint(p):
+            return _SUBS, [AprPredicate(tuple(filterfalse(target_set.__contains__, p)), q)]
+        if not ars._nf.isdisjoint(p):
+            return _DIS, [BOTTOM]
     deriv = tuple(sorted(image(ars, p)))
-    if strategy is not _MONOLITHIC:
+    if strategy is not _MONOLITHIC and fold_states and not fold_states.isdisjoint(deriv):
         folded = tuple(filter(fold_states.__contains__, deriv))
-        if folded:
-            parts = [AprPredicate((t,), q) for t in folded]
-            if len(folded) < len(deriv):
-                parts.append(AprPredicate(tuple(filterfalse(fold_states.__contains__, deriv)), q))
-            return _DER, parts
+        parts = [AprPredicate((t,), q) for t in folded]
+        if len(folded) < len(deriv):
+            parts.append(AprPredicate(tuple(filterfalse(fold_states.__contains__, deriv)), q))
+        return _DER, parts
     return _DER, [AprPredicate(deriv, q)]
 
 
@@ -556,14 +571,16 @@ def to_dot(ars: System, g: ProofGraph) -> str:
     """Render the proof graph as deterministic DOT (byte-for-byte stable)."""
     order = {v: i for i, v in enumerate(g.vertices)}
     fmt = predicate_formatter(ars)
+    preds, rules = g.predicates, g.rules
     lines = ["digraph proof {"]
-    for v in g.vertices:
-        pred = g.predicates[v]
+    for i, v in enumerate(g.vertices):
+        pred = preds[v]
         if pred.is_bottom:
-            lines.append(f'  n{order[v]} [label="BOT", shape=doublecircle];')
+            lines.append(f'  n{i} [label="BOT", shape=doublecircle];')
         else:
-            lines.append(f'  n{order[v]} [label="{fmt(pred)}"];')
+            lines.append(f'  n{i} [label="{fmt(pred)}"];')
+    edge_label = {rule: f' [label="{rule.value}"];' for rule in RuleName}
     for a, b in g.edges:
-        lines.append(f'  n{order[a]} -> n{order[b]} [label="{g.rules[a]}"];')
+        lines.append(f"  n{order[a]} -> n{order[b]}" + edge_label[rules[a]])
     lines.append("}")
     return "\n".join(lines) + "\n"

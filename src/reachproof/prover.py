@@ -134,6 +134,8 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
     companions: dict[StateSet, int] = {}
     fold_states: set[int] = set()
     target_set = frozenset(pred.target)
+    # With the normal forms as a set, most goals reach Der by one test.
+    stop = target_set | ars._nf if isinstance(ars._nf, frozenset) else None
     budget = cfg.node_budget
     strategy = cfg.strategy
     der, dis = RuleName.DER, RuleName.DIS
@@ -146,7 +148,7 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
         if comp != v:
             xi[v] = comp
             continue
-        rule, kid_preds = premises(ars, pv, strategy, fold_states, target_set)
+        rule, kid_preds = premises(ars, pv, strategy, fold_states, target_set, stop)
         rules[v] = rule
         w = len(preds)
         if w + len(kid_preds) > budget:

@@ -1,4 +1,8 @@
+import importlib.util
 import random
+import sys
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +68,16 @@ def semaphore_source(n: int, racy: int | None) -> str:
                   f"  edge wait{i} -> crit{i}{guard} do lock := true",
                   f"  edge crit{i} -> idle{i} do lock := false", "}"]
     return "\n".join(lines) + "\n"
+
+
+@cache
+def bench_workloads():
+    """The benchmark's input generators, `bench/workloads.py`, imported
+    read-only from the checkout."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while they are built.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -267,6 +267,57 @@ class TestTextFormat:
         with pytest.raises(ArsError):
             parse_ars(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("trans a b\nstates a b\n", "line 1: trans before states line"),
+        ("states a b\n\nstates c\n", "line 3: duplicate states line"),
+        ("states a b\ntrans a\n", "line 2: trans needs exactly two labels"),
+        ("states a b\ntrans a b a\n", "line 2: trans needs exactly two labels"),
+        ("states a b\ntrans\n", "line 2: trans needs exactly two labels"),
+        ("states a b\ntrans a b\ntrans x b\n", "line 3: unknown label 'x' in trans"),
+        ("states a b\ntrans a y\n", "line 2: unknown label 'y' in trans"),
+        ("states a b\ntrans x y\n", "line 2: unknown label 'x' in trans"),
+        ("states a b\ntrans a it's\n", "line 2: unknown label \"it's\" in trans"),
+        ("states a\n# note\nfoo a\n", "line 3: unknown directive 'foo'"),
+        ("states a\nStates b\n", "line 2: unknown directive 'States'"),
+        ("", "missing states line"),
+        ("# only a comment\n\n", "missing states line"),
+        ("states ab b!c\n", "bad object label 'b!c'"),
+        ("states ab b!c ab\n", "bad object label 'b!c'"),
+        ("states ab cd ab\n", "duplicate object label 'ab'"),
+        ("states ab ab b!c\n", "duplicate object label 'ab'"),
+        ("states ab b!c\ntrans ab b!c\n", "bad object label 'b!c'"),
+        ("states ab ab\ntrans ab ab\n", "duplicate object label 'ab'"),
+        # A line error is reported before a bad or duplicate label.
+        ("states ab b!c\nfoo\n", "line 2: unknown directive 'foo'"),
+        ("states ab ab\ntrans ab zz\n", "line 2: unknown label 'zz' in trans"),
+        ("states a b\r\n\r\ntrans a c\r\n", "line 3: unknown label 'c' in trans"),
+        ("states a b\n#\n  # x\ntrans a b # ok\n\ntrans\ta\n",
+         "line 6: trans needs exactly two labels"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ArsError) as exc:
+            parse_ars(text)
+        assert str(exc.value) == message
+
+    def test_comments_blank_lines_and_crlf(self):
+        text = ("# head\r\n\r\nstates s0 s1# tail\r\n  # indented\r\n"
+                "trans s0 s1#x\r\ntrans s1 s1\r\n")
+        ars = parse_ars(text)
+        assert ars.labels == ("s0", "s1")
+        assert ars.succs == ((1,), (1,))
+        assert ars == parse_ars(text.replace("\r\n", "\n"))
+
+    def test_parallel_edges_collapse_and_successors_sort(self):
+        ars = parse_ars("states a b c\ntrans a c\ntrans a b\ntrans a c\ntrans c c\n")
+        assert ars.succs == ((1, 2), (), (2,))
+        assert ars.normal_forms == (1,)
+        assert ars.n == 3
+        assert ars == Ars(("a", "b", "c"), [(0, 2), (0, 1), (2, 2)])
+
+    def test_empty_states_line(self):
+        ars = parse_ars("states\n")
+        assert (ars.n, ars.labels, ars.succs) == (0, (), ())
+
     def test_angle_bracket_labels(self):
         ars = parse_ars("states <p,q,0> <p,q,1>\ntrans <p,q,0> <p,q,1>\n")
         assert ars.succs[0] == (1,)

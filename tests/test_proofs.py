@@ -1,4 +1,5 @@
 import random
+from collections.abc import Set as AbstractSet
 
 import pytest
 from hypothesis import assume, given
@@ -125,17 +126,22 @@ def test_premises_applies_the_applicable_rule(data, where, offset):
             premises(ars, pred, strategy)
 
 
-class MembershipOnly:
-    """A container that answers ``in`` but refuses to be iterated."""
+class MembershipOnly(AbstractSet):
+    """A set that answers ``in``, ``len`` and ``isdisjoint`` (the mixin
+    tests each item of the other operand with ``in``) but refuses to be
+    iterated, and so to be copied."""
 
     def __init__(self, items):
-        self.items = set(items)
+        self.items = frozenset(items)
 
     def __contains__(self, item):
         return item in self.items
 
     def __iter__(self):
         raise AssertionError("fold_states was iterated")
+
+    def __len__(self):
+        return len(self.items)
 
 
 class TestPremises:
@@ -150,7 +156,7 @@ class TestPremises:
         # In-proof context: the goal for {a} is already a companion.
         q = a1.ids_of(["c", "d"])
         rule, kids = premises(a1, AprPredicate((1,), q), SplitStrategy.EAGER,
-                              fold_states=[0])
+                              fold_states={0})
         assert rule is RuleName.DER
         assert kids == [AprPredicate((0,), q), AprPredicate((2,), q)]
 
@@ -265,6 +271,9 @@ def test_premises_matches_the_per_state_reference(case):
         for target_set in (None, frozenset(pred.target)):
             assert applicable_rule(ars, pred, target_set) is rule
             assert premises(ars, pred, strategy, fold_states, target_set) == want
+        stop = frozenset(pred.target) | ars._nf
+        assert premises(ars, pred, strategy, fold_states, None, stop) == want
+        assert premises(ars, pred, strategy, MembershipOnly(fold_states), None, stop) == want
 
 
 class TestValidation:

@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +28,7 @@ from reachproof import (
 )
 from reachproof.prover import Lasso, witness_violations
 
-from conftest import random_ars, random_subset
+from conftest import bench_workloads, random_ars, random_subset
 
 EAGER = ProverConfig(strategy=SplitStrategy.EAGER)
 MONO = ProverConfig(strategy=SplitStrategy.MONOLITHIC)
@@ -321,12 +319,7 @@ def test_rings_workload_graphs_and_verdicts():
     strategies, both modes): the cycle test on the buds agrees with one over
     the built edges, the counts match the built tuples, and the verdict is
     the oracle's."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up by name while they are built.
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     checks = {"partial": (check_partial, oracle_partial, VerdictKind.PARTIALLY_VALID),
               "total": (check_total, oracle_total, VerdictKind.TOTALLY_VALID)}
     seen = set()
