@@ -410,9 +410,9 @@ def parse_ars(text: str) -> Ars:
 
     `#` starts a comment; one `states <label>...` line declares all objects;
     each `trans <src> <dst>` line adds one transition.  Labels must match
-    ``[A-Za-z0-9_.<>,-]+`` and `trans` may only use declared labels.  A
-    line error is reported before a bad or duplicate label, which are
-    checked once, after the last line.
+    ``[A-Za-z0-9_.<>,-]+`` and `trans` may only use declared labels.  The
+    first error is reported with its line number; a bad or duplicate label
+    is an error of the `states` line, found by one match of the whole line.
     """
     labels: tuple[str, ...] | None = None
     index: dict[str, int] = {}
@@ -438,13 +438,16 @@ def parse_ars(text: str) -> Ars:
                 raise ArsError(f"line {lineno}: duplicate states line")
             labels = tuple(parts[1:])
             index.update(zip(labels, range(len(labels))))
+            if len(index) < len(labels) or not _LABEL_LIST_RE.match(" ".join(labels)):
+                try:
+                    Ars(labels, ())  # names the first bad or duplicate label
+                except ArsError as exc:
+                    raise ArsError(f"line {lineno}: {exc}") from None
             succ_lists = [[] for _ in labels]
         else:
             raise ArsError(f"line {lineno}: unknown directive {parts[0]!r}")
     if labels is None:
         raise ArsError("missing states line")
-    if len(index) < len(labels) or not _LABEL_LIST_RE.match(" ".join(labels)):
-        Ars(labels, ())  # raises, naming the first bad or duplicate label
     # Most objects have at most one successor; only longer lists are sorted.
     succs = tuple([tuple(sorted(set(s))) if len(s) > 1 else tuple(s) for s in succ_lists])
     return Ars._from_table(labels, index, succs)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .ars import ArsError, StateSet, System, join_labels, parse_ars, render_ars
 from .modeling import (
     DEFAULT_STATE_CAP,
-    Expansion,
+    Model,
     ModelError,
     ModelSystem,
     builtin_peterson,
@@ -105,27 +105,27 @@ def _read_text(path: str) -> str:
             raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _load_input(args) -> tuple[System, Expansion | ModelSystem | None]:
-    """The system a command runs on and, for model input, the layout its
-    state predicates are evaluated over: `expand` fills the whole table,
-    a query explores the model on the fly."""
+def _load_model(args) -> Model | None:
+    """The model of `--model` or `--builtin`; None for `--ars` input."""
     picked = [x for x in (args.ars, args.model, args.builtin) if x]
     if len(picked) != 1:
         raise UsageError("exactly one of --ars, --model, --builtin is required")
     if args.ars:
-        return parse_ars(_read_text(args.ars)), None
+        return None
     if args.model:
-        model = parse_model(_read_text(args.model))
-    else:
-        if args.builtin not in BUILTINS:
-            raise UsageError(f"unknown builtin {args.builtin!r} (available: "
-                             + ", ".join(sorted(BUILTINS)) + ")")
-        model = BUILTINS[args.builtin]()
-    if args.cmd == "expand":
-        expansion = expand(model, max_states=args.max_states)
-        return expansion.ars, expansion
-    system = ModelSystem(model, max_states=args.max_states)
-    return system, system
+        return parse_model(_read_text(args.model))
+    if args.builtin not in BUILTINS:
+        raise UsageError(f"unknown builtin {args.builtin!r} (available: "
+                         + ", ".join(sorted(BUILTINS)) + ")")
+    return BUILTINS[args.builtin]()
+
+
+def _load_input(args) -> System:
+    """The system a query runs on: a model is explored on the fly."""
+    model = _load_model(args)
+    if model is None:
+        return parse_ars(_read_text(args.ars))
+    return ModelSystem(model, max_states=args.max_states)
 
 
 def _split_labels(text: str) -> list[str]:
@@ -144,10 +144,10 @@ def _split_labels(text: str) -> list[str]:
     return [lab.strip() for lab in labels if lab.strip()]
 
 
-def _resolve_set(ars: System, layout: ModelSystem | None, text: str) -> StateSet:
+def _resolve_set(ars: System, text: str) -> StateSet:
     """Label list for plain systems, state-predicate expression for models."""
-    if layout is not None:
-        return eval_state_predicate(layout, text)
+    if isinstance(ars, ModelSystem):
+        return eval_state_predicate(ars, text)
     return ars.ids_of(_split_labels(text))
 
 
@@ -250,9 +250,9 @@ def cmd_query(args) -> int:
         flag = "--emit-proof" if args.emit_proof else "--emit-trace"
         raise UsageError(f"{flag} requires the prover engine")
     started = time.perf_counter()
-    ars, layout = _load_input(args)
-    source = _resolve_set(ars, layout, args.source)
-    target = _resolve_set(ars, layout, args.target)
+    ars = _load_input(args)
+    source = _resolve_set(ars, args.source)
+    target = _resolve_set(ars, args.target)
     if args.cmd == "safety":
         ars, pred = build_safety_query(ars, source, target)
     else:
@@ -284,7 +284,7 @@ def cmd_expand(args) -> int:
     if not args.model and not args.builtin:
         raise UsageError("expand needs --model or --builtin")
     args.ars = None
-    _, expansion = _load_input(args)
+    expansion = expand(_load_model(args), max_states=args.max_states)
     text = render_ars(expansion.ars)
     init = join_labels(expansion.ars.labels, expansion.initial, ",")
     text += f"# initial: {init}\n"

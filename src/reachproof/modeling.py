@@ -1,14 +1,13 @@
 """Guarded-transition models over finite-domain shared variables.
 
 A model is a set of processes, each a graph of locations with guarded
-edges, plus shared variables with explicit finite domains.  Expansion
-enumerates the full Cartesian state space and interleaves the processes:
-one transition per (state, process edge) whose guard holds, with the
-edge's assignments applied simultaneously.  The expanded system is an
-ordinary `Ars` whose object labels render the state tuples, so every
-verifier facility applies unchanged.  A `ModelSystem` is the same system
-explored on the fly: the queries use it, so they compute successors only
-for the states they reach.
+edges, plus shared variables with explicit finite domains.  Its system,
+a `ModelSystem`, has one object per state of the full Cartesian state
+space and interleaves the processes: one transition per (state, process
+edge) whose guard holds, with the edge's assignments applied
+simultaneously.  Object labels render the state tuples.  The queries
+explore it on the fly, so they compute successors only for the states
+they reach; `expand` fills its whole table into an ordinary `Ars`.
 
 Model DSL (UTF-8, `#` comments):
 
@@ -33,10 +32,11 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from math import prod
+from typing import NamedTuple
 
 from .ars import EMPTY, LABEL_RE, Ars, LazySystem, StateSet, _LazyTable, canon
 
@@ -556,41 +556,16 @@ def _render_operand(operand: tuple) -> str:
 # ---------------------------------------------------------------------------
 # Expansion
 
-@dataclass(frozen=True)
-class ModelState:
-    """One expanded state: a location per process, a value per variable."""
-
-    locs: tuple[str, ...]
-    values: tuple[Value, ...]
-
-
 DEFAULT_STATE_CAP = 1_000_000
 # Largest table of label tails a ModelSystem builds up front.
 TAIL_LABELS = 4096
 
 
-@dataclass
-class Expansion:
-    """Expanded model: the system, its layout (each process's sorted
-    locations, and the valuations, in id order) and the initial states.
-    `max_states` is the cap it was expanded under, which also bounds the
-    sets `eval_state_predicate` builds over it."""
+class Expansion(NamedTuple):
+    """An expanded model: its whole system as a table, and the initial states."""
 
-    model: Model
     ars: Ars
-    loc_axes: tuple[tuple[str, ...], ...]
-    valuations: tuple[tuple[Value, ...], ...]
     initial: StateSet
-    max_states: int = DEFAULT_STATE_CAP
-
-    def _layout(self) -> Iterator[tuple[tuple[str, ...], tuple[Value, ...]]]:
-        """Every state's (locations, values), in id order."""
-        return itertools.product(itertools.product(*self.loc_axes), self.valuations)
-
-    @cached_property
-    def states(self) -> tuple[ModelState, ...]:
-        """The state table aligned with the ids, built on first access."""
-        return tuple(itertools.starmap(ModelState, self._layout()))
 
 
 def _moves(model: Model) -> list[dict[str, list]]:
@@ -630,7 +605,7 @@ def _layout(model: Model) -> tuple[list, tuple, tuple, dict, list[int]]:
 
 def _effects(model: Model, moves, loc_axes, valuations, vindex, weight) -> list[list[tuple]]:
     """The effect table of the model's edges, the one source of
-    transitions for `expand` and `ModelSystem`.
+    transitions of a `ModelSystem` and so of `expand`.
 
     Guards and assignments read only variables, so each edge is evaluated
     once per valuation `vi`.  Per process, entry `d * |V| + vi` holds the
@@ -671,7 +646,7 @@ def _effects(model: Model, moves, loc_axes, valuations, vindex, weight) -> list[
 
 
 def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
-    """Eagerly expand the full Cartesian state space with interleaving.
+    """The whole table of `ModelSystem(model)`, filled in bulk.
 
     Object order is lexicographic on the rendered state label
     `<loc,...,loc,value,...,value>`, so identical model text always yields a
@@ -679,65 +654,62 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
     the product of one order per field: its text followed by the separator
     after it (`>` for the last field, so `10` sorts before `1`).  A state's
     id is its mixed-radix number over those sorted fields, the variables
-    being the low-order digits, and each label is put together from
-    per-field strings.
+    being the low-order digits.
 
-    The transitions come from the effect table (`_effects`): for every
-    location index `li` whose digit for a process is `d`, `li*|V| + vi ->
-    li*|V| + vi + delta` for each delta the table holds at `d` and `vi`.
-    `max_states` caps the product of the domain sizes.
+    The transitions come from the system's effect table (`_effects`): for
+    every location index `li` whose digit for a process is `d`, `li*|V| +
+    vi -> li*|V| + vi + delta` for each delta the table holds at `d` and
+    `vi`.  One pass per table row fills every state it covers, which is
+    faster than computing each state's successors from its digits.
+    `max_states` caps the product of the domain sizes; an ill-typed
+    assignment is reported before the cap, a domain error after it.
     """
-    moves = _moves(model)
     size = prod(len(p.locations) for p in model.processes) * _valuation_count(model)
     if size > max_states:
+        _moves(model)  # raises on an ill-typed assignment
         raise StateLimitError(f"state space of {size} states exceeds cap {max_states}")
-
-    axes, loc_axes, valuations, vindex, weight = _layout(model)
-    labels = _field_texts(axes, "<" if axes else "<>")
-    nv = len(valuations)
-    tables = _effects(model, moves, loc_axes, valuations, vindex, weight)
-
+    system = ModelSystem(model, max_states)
+    nv = system._nv
     succ: list[set[int]] = [set() for _ in range(size)]
-    for axis, w, table in zip(loc_axes, weight, tables):
-        for d in range(len(axis)):
+    for w, radix, table in system._moves:
+        for d in range(radix):
             row = table[d * nv:(d + 1) * nv]
             if not any(row):
                 continue
             # The states with this process at digit d and valuation 0.
-            bases = [hi + lo for hi in range(d * w, size, w * len(axis)) for lo in range(0, w, nv)]
+            bases = [hi + lo for hi in range(d * w, size, w * radix) for lo in range(0, w, nv)]
             for vi, deltas in enumerate(row):
                 for delta in deltas:
                     for b in bases:
                         succ[b + vi].add(b + vi + delta)
-    # The labels skip `Ars`'s checks: they are put together from declared
-    # identifiers, integer and bool literals and the characters `<`, `,`
-    # and `>`, all inside LABEL_RE, and the mixed-radix fields make them
-    # unique.  A hand-built model's location names are held to the same.
-    index = dict(zip(labels, range(size)))
-    if len(index) < size or not all(LABEL_RE.match(loc) for axis in loc_axes for loc in axis):
-        raise ModelError("location names do not make distinct valid state labels")
-    ars = Ars._from_table(labels, index, tuple(tuple(sorted(s)) for s in succ))
+    # The system's labels, a head per block of `tail` ids and a tail each.
+    labels = tuple(head + tail for head in system._heads for tail in system._tails)
+    ars = Ars._from_table(labels, dict(zip(labels, range(size))),
+                          tuple(tuple(sorted(s)) for s in succ))
+    weight = [w for w, _, _ in system._moves]
+    vindex = dict(zip(system.valuations, range(nv)))
     initial = canon(
-        sum(w * axis.index(loc) for w, axis, loc in zip(weight, loc_axes, locs)) + vindex[values]
+        sum(w * axis.index(loc) for w, axis, loc in zip(weight, system.loc_axes, locs))
+        + vindex[values]
         for locs, values in itertools.product(
             itertools.product(*(p.init_locations for p in model.processes)),
             itertools.product(*(v.init_values for v in model.variables))))
-    return Expansion(model, ars, loc_axes, valuations, initial, max_states)
+    return Expansion(ars, initial)
 
 
 class ModelSystem(LazySystem):
-    """The system `expand` builds for `model`, explored on the fly: the
-    same ids, labels and successor tuples, but a state's successors are
+    """The model's system, explored on the fly: a state's successors are
     computed from the digits of its id, through the effect table, when a
     query first reads them.  So a query costs what it reaches, not the
-    product of the domain sizes.
+    product of the domain sizes.  `expand` fills the same table in bulk.
 
     `max_states` caps the states whose successors are computed, the
     states a state predicate selects over it, and the number of
-    valuations before their table is built.  Location names
-    must be valid labels without `,` or `>` and distinct in their
-    process, which makes the labels distinct without building them.
-    Like `Expansion`, it carries the layout `eval_state_predicate` reads.
+    valuations before their table is built.  Location names must be valid
+    labels without `,` or `>` and distinct in their process, which makes
+    the labels distinct without building them.  The system carries the
+    layout `eval_state_predicate` reads: the model, each process's sorted
+    locations and the valuations in id order.
     """
 
     def __init__(self, model: Model, max_states: int = DEFAULT_STATE_CAP):
@@ -781,8 +753,9 @@ class ModelSystem(LazySystem):
         while cut and tail * tail < n and tail * len(axes[cut - 1]) <= TAIL_LABELS:
             cut -= 1
             tail *= len(axes[cut])
-        tails = _field_texts(axes[cut:], "")
-        heads = _LazyTable(n // tail, partial(_head_text, axes[:cut], "<" if axes else "<>"))
+        self._tails = tails = _field_texts(axes[cut:])
+        self._heads = heads = _LazyTable(
+            n // tail, partial(_head_text, axes[:cut], "<" if axes else "<>"))
         super().__init__(n, successors, lambda s: heads[s // tail] + tails[s % tail])
 
     def is_normal_form(self, i: int) -> bool:
@@ -805,10 +778,10 @@ class ModelSystem(LazySystem):
         return i
 
 
-def _field_texts(axes, prefix: str) -> tuple[str, ...]:
-    """`prefix` plus the texts of the fields `axes`, for every digit
-    combination in id order."""
-    texts = [prefix]
+def _field_texts(axes) -> tuple[str, ...]:
+    """The texts of the fields `axes`, for every digit combination in id
+    order."""
+    texts = [""]
     for axis in axes:
         texts = [head + text for head in texts for text, _ in axis]
     return tuple(texts)
@@ -827,7 +800,7 @@ def _head_text(axes, prefix: str, i: int) -> str:
 # ---------------------------------------------------------------------------
 # State predicates
 
-def eval_state_predicate(space: Expansion | ModelSystem, expr: str | tuple) -> StateSet:
+def eval_state_predicate(system: ModelSystem, expr: str | tuple) -> StateSet:
     """The states satisfying a state-predicate expression, in id order.
 
     Each atom reads one digit of the mixed-radix id: a process's location
@@ -837,10 +810,11 @@ def eval_state_predicate(space: Expansion | ModelSystem, expr: str | tuple) -> S
     block decided false is pruned, and blocks left with the same formula
     share one result.  The cost follows the formula and the size of the
     result, not the product of the domains.  A result of more than
-    `space.max_states` states raises StateLimitError before it is built.
+    `system.max_states` states raises StateLimitError before it is built.
+    The ids are those of `expand(system.model)` too.
     """
     node = parse_state_expr(expr) if isinstance(expr, str) else expr
-    return _DigitWalk(space).ids(node)
+    return _DigitWalk(system).ids(node)
 
 
 def _negate(f):
@@ -862,13 +836,13 @@ def _connect(kind: str, kids: list):
 
 
 class _DigitWalk:
-    """`eval_state_predicate` over one layout.  A formula is True, False,
-    `("lit", atom)`, or "not"/"and"/"or" over formulas; atom `a` reads
-    digit `self.level[a]`, and `self.truth[a][d]` is its value there."""
+    """`eval_state_predicate` over one system's layout.  A formula is True,
+    False, `("lit", atom)`, or "not"/"and"/"or" over formulas; atom `a`
+    reads digit `self.level[a]`, and `self.truth[a][d]` is its value there."""
 
-    def __init__(self, space: Expansion | ModelSystem):
-        self.space = space
-        self.radix = [len(axis) for axis in space.loc_axes] + [len(space.valuations)]
+    def __init__(self, system: ModelSystem):
+        self.system = system
+        self.radix = [len(axis) for axis in system.loc_axes] + [len(system.valuations)]
         # Ids per block of the digits from `level` on.
         self.block = [prod(self.radix[level:]) for level in range(len(self.radix) + 1)]
         self.level: list[int] = []
@@ -880,18 +854,18 @@ class _DigitWalk:
             return _negate(self._formula(node[1]))
         if kind in ("and", "or"):
             return _connect(kind, [self._formula(child) for child in node[1:]])
-        space = self.space
-        test = _compile(space.model, node, allow_loc=True)  # type-checks the atom
+        system = self.system
+        test = _compile(system.model, node, allow_loc=True)  # type-checks the atom
         operands = node[1:] if kind == "atom" else node[2:]
         kinds = [op[0] for op in operands]
         if "loc" in kinds:
             proc, loc = operands if kinds[0] == "loc" else operands[::-1]
-            level = [p.name for p in space.model.processes].index(proc[1])
+            level = [p.name for p in system.model.processes].index(proc[1])
             eq = node[1] == "="
-            truth = tuple((here == loc[1]) == eq for here in space.loc_axes[level])
+            truth = tuple((here == loc[1]) == eq for here in system.loc_axes[level])
         elif "name" in kinds:
-            level = len(space.loc_axes)
-            valuations = space.valuations
+            level = len(system.loc_axes)
+            valuations = system.valuations
             truth = tuple(map(test, itertools.repeat((), len(valuations)), valuations))
         else:
             return bool(test((), ()))  # literals only: reads no digit
@@ -928,7 +902,7 @@ class _DigitWalk:
 
     def ids(self, node: tuple) -> StateSet:
         root = self._formula(node)
-        cap = self.space.max_states
+        cap = self.system.max_states
         if isinstance(root, bool):
             if root and self.block[0] > cap:
                 raise StateLimitError(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from reachproof import Ars, builtin_peterson, canon, expand, parse_ars
+from reachproof import Ars, ModelSystem, builtin_peterson, canon, expand, parse_ars
 
 A1_TEXT = """\
 # four objects, two of them stuck
@@ -26,6 +26,13 @@ def a1() -> Ars:
 @pytest.fixture(scope="session")
 def peterson():
     return expand(builtin_peterson())
+
+
+@pytest.fixture
+def peterson_system() -> ModelSystem:
+    """The built-in model's system, on which its state predicates are read;
+    the ids are those of the `peterson` expansion."""
+    return ModelSystem(builtin_peterson())
 
 
 def random_ars(rng: random.Random, max_states: int = 8) -> Ars:
@@ -70,14 +77,30 @@ def semaphore_source(n: int, racy: int | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bench_module(name: str):
+    """`bench/<name>.py`, imported read-only from the checkout as
+    `bench_<name>`."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while they are built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 @cache
 def bench_workloads():
-    """The benchmark's input generators, `bench/workloads.py`, imported
-    read-only from the checkout."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up by name while they are built.
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return workloads
+    """The benchmark's input generators, `bench/workloads.py`."""
+    return _bench_module("workloads")
+
+
+@cache
+def bench_checks():
+    """The benchmark's output checks, `bench/checks.py`.  Its `import
+    workloads` is given the generators of `bench_workloads`."""
+    sys.modules["workloads"] = bench_workloads()
+    try:
+        return _bench_module("checks")
+    finally:
+        del sys.modules["workloads"]

@@ -167,7 +167,7 @@ def test_criterion_03_total_validity_lasso(a1_module):
     _passed(3, "total validity refuted with an a/b lasso")
 
 
-def test_criterion_04_peterson_race_freedom(peterson, capsys):
+def test_criterion_04_peterson_race_freedom(peterson, peterson_system, capsys):
     started = time.perf_counter()
     code = main(["safety", "--builtin", "peterson",
                  "--from", "loc(P0)=noncrit0 && loc(P1)=noncrit1 && b0=false && b1=false",
@@ -177,7 +177,7 @@ def test_criterion_04_peterson_race_freedom(peterson, capsys):
     assert out.startswith("safe")
 
     exp = peterson
-    err = eval_state_predicate(exp, "loc(P0)=crit0 && loc(P1)=crit1")
+    err = eval_state_predicate(peterson_system, "loc(P0)=crit0 && loc(P1)=crit1")
     aug, _ = augment_error(exp.ars, err)
     verdict = check_partial(aug, AprPredicate(exp.initial, ()))
     assert verdict.kind is VerdictKind.PARTIALLY_VALID
@@ -186,7 +186,7 @@ def test_criterion_04_peterson_race_freedom(peterson, capsys):
     _passed(4, "race freedom: safe, and <init> => <{}> partially valid")
 
 
-def test_criterion_05_peterson_starvation_freedom(peterson, capsys, tmp_path):
+def test_criterion_05_peterson_starvation_freedom(peterson, peterson_system, capsys, tmp_path):
     dot_path = tmp_path / "starvation.dot"
     code = main(["liveness", "--builtin", "peterson",
                  "--from", "loc(P0)=wait0 && b0=true",
@@ -197,8 +197,8 @@ def test_criterion_05_peterson_starvation_freedom(peterson, capsys, tmp_path):
     assert dot_path.exists()
 
     exp = peterson
-    src = eval_state_predicate(exp, "loc(P0)=wait0 && b0=true")
-    goal = eval_state_predicate(exp, "loc(P0)=crit0")
+    src = eval_state_predicate(peterson_system, "loc(P0)=wait0 && b0=true")
+    goal = eval_state_predicate(peterson_system, "loc(P0)=crit0")
     verdict = check_total(exp.ars, AprPredicate(src, goal), EAGER)
     assert verdict.kind is VerdictKind.TOTALLY_VALID
     assert is_acyclic(proof_graph(verdict.pre_proof))
@@ -219,18 +219,18 @@ def test_criterion_07_rule_uniqueness(corpus):
     _passed(7, f"rule uniqueness over {corpus.predicates_checked} goals")
 
 
-def test_criterion_08_proof_graph_structure(corpus, a1_module, peterson):
+def test_criterion_08_proof_graph_structure(corpus, a1_module, peterson, peterson_system):
     assert corpus.graph_problems == []
     a1 = a1_module
     exp = peterson
     extra = []
     extra.append((a1, prove(a1, predicate((0,), (2, 3)), EAGER)))
     extra.append((a1, prove(a1, predicate((0,), (2,)), MONO)))
-    err = eval_state_predicate(exp, "loc(P0)=crit0 && loc(P1)=crit1")
+    err = eval_state_predicate(peterson_system, "loc(P0)=crit0 && loc(P1)=crit1")
     aug, _ = augment_error(exp.ars, err)
     extra.append((aug, prove(aug, AprPredicate(exp.initial, ()), EAGER)))
-    src = eval_state_predicate(exp, "loc(P0)=wait0 && b0=true")
-    goal = eval_state_predicate(exp, "loc(P0)=crit0")
+    src = eval_state_predicate(peterson_system, "loc(P0)=wait0 && b0=true")
+    goal = eval_state_predicate(peterson_system, "loc(P0)=crit0")
     extra.append((exp.ars, prove(exp.ars, AprPredicate(src, goal), EAGER)))
     for ars, pp in extra:
         assert graph_violations(ars, proof_graph(pp)) == []

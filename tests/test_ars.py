@@ -281,15 +281,23 @@ class TestTextFormat:
         ("states a\nStates b\n", "line 2: unknown directive 'States'"),
         ("", "missing states line"),
         ("# only a comment\n\n", "missing states line"),
-        ("states ab b!c\n", "bad object label 'b!c'"),
-        ("states ab b!c ab\n", "bad object label 'b!c'"),
-        ("states ab cd ab\n", "duplicate object label 'ab'"),
-        ("states ab ab b!c\n", "duplicate object label 'ab'"),
-        ("states ab b!c\ntrans ab b!c\n", "bad object label 'b!c'"),
-        ("states ab ab\ntrans ab ab\n", "duplicate object label 'ab'"),
-        # A line error is reported before a bad or duplicate label.
-        ("states ab b!c\nfoo\n", "line 2: unknown directive 'foo'"),
-        ("states ab ab\ntrans ab zz\n", "line 2: unknown label 'zz' in trans"),
+        # These ids name the label error; its message adds the line.
+        *(pytest.param(text, f"line 1: {error}", id=f"{text}-{error}")
+          for text, error in [
+              ("states ab b!c\n", "bad object label 'b!c'"),
+              ("states ab b!c ab\n", "bad object label 'b!c'"),
+              ("states ab cd ab\n", "duplicate object label 'ab'"),
+              ("states ab ab b!c\n", "duplicate object label 'ab'"),
+              ("states ab b!c\ntrans ab b!c\n", "bad object label 'b!c'"),
+              ("states ab ab\ntrans ab ab\n", "duplicate object label 'ab'")]),
+        # A bad or duplicate label is an error of its states line, reported
+        # in line order.
+        ("states ab b!c\nfoo\n", "line 1: bad object label 'b!c'"),
+        ("states a b!c\nbogus x\n", "line 1: bad object label 'b!c'"),
+        ("states ab ab\ntrans ab zz\n", "line 1: duplicate object label 'ab'"),
+        ("# head\r\n\r\nstates a a\r\n", "line 3: duplicate object label 'a'"),
+        ("foo\nstates a?\n", "line 1: unknown directive 'foo'"),
+        ("states a\nstates a?\n", "line 2: duplicate states line"),
         ("states a b\r\n\r\ntrans a c\r\n", "line 3: unknown label 'c' in trans"),
         ("states a b\n#\n  # x\ntrans a b # ok\n\ntrans\ta\n",
          "line 6: trans needs exactly two labels"),

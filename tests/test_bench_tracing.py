@@ -8,6 +8,7 @@ from pathlib import Path
 
 import reachproof
 from reachproof import (
+    ModelSystem,
     ars,
     build_safety_query,
     cli,
@@ -60,6 +61,8 @@ def test_traced_calls_are_looked_up_at_call_time(tmp_path, capsys):
         tracer.qid = 2
         cli.main(["liveness", "--model", model, "--from", "loc(P2)=wait2 && !lock",
                   "--goal", "loc(P2)=crit2", "--json"])
+        tracer.qid = 3
+        cli.main(["expand", "--model", model])
         tracer.settle()
     finally:
         tracer.uninstall()
@@ -67,13 +70,15 @@ def test_traced_calls_are_looked_up_at_call_time(tmp_path, capsys):
     assert set(tracer.names) >= {
         "ars.parse", "reductions.safety_query", "prover.check", "prover.prove.eager",
         "proofs.premises", "proofs.graph", "proofs.acyclic", "prover.witness", "oracle.decide",
-        "modeling.parse", "modeling.eval_pred"}
+        "modeling.parse", "modeling.eval_pred", "modeling.expand", "ars.render"}
     # The size reader counts the sink edges of the safety query by
     # iterating the successor tuples of the on-the-fly systems; it must
     # count what the eager tables hold.
-    exp = expand(parse_model(semaphore_source(4, 1)))
-    errors = eval_state_predicate(exp, "loc(P1)=crit1 && loc(P2)=crit2")
+    model = parse_model(semaphore_source(4, 1))
+    exp = expand(model)
+    errors = eval_state_predicate(ModelSystem(model), "loc(P1)=crit1 && loc(P2)=crit2")
     safety, _ = build_safety_query(exp.ars, (), errors)
     extra = sum(map(len, safety.succs)) - sum(map(len, exp.ars.succs))
     assert tracer.sizes[1]["reductions.extra_edges"] == extra
     assert tracer.sizes[2]["prover.nodes"] > 0
+    assert tracer.sizes[3]["modeling.states"] == exp.ars.n == 162

@@ -138,6 +138,23 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: state space of 1000000000001 states exceeds cap 1000000\n"
 
+    # An ill-typed assignment is reported first, then the state cap, then
+    # an assignment that leaves its domain in some state.
+    @pytest.mark.parametrize("domain, assign, cap, err", [
+        ("0..1000000000000", "x := true", "1000000", "assignment x := True needs an integer"),
+        ("0..20", "x := true", "10", "assignment x := True needs an integer"),
+        ("0..20", "x := 21", "10", "assignment x := 21 leaves int[0..20]"),
+        ("0..20", "y := x", "10", "state space of 84 states exceeds cap 10"),
+        ("0..20", "y := x", "84", "assignment y := 10 leaves its domain (edge a -> a of P)"),
+    ])
+    def test_expand_error_order(self, capsys, tmp_path, domain, assign, cap, err):
+        path = tmp_path / "wide.model"
+        path.write_text(f"var x: int[{domain}] = 0\nvar y: int[0..3] = 0\n"
+                        f"process P {{\n  loc a init\n  edge a -> a do {assign}\n}}\n")
+        code, out, got = run(capsys, "expand", "--model", str(path), "--max-states", cap)
+        assert (code, out) == (2, "")
+        assert got == f"error: {err}\n"
+
     def test_wide_domain_stops_a_query_at_once(self, capsys, tmp_path):
         path = tmp_path / "wide.model"
         path.write_text("var x: int[0..1000000000000] = 0\n"

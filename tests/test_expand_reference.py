@@ -5,10 +5,9 @@ renders every state, sorts the labels and interns the states by their
 `(locations, values)` tuples, then evaluates every edge in every state.
 `expand` computes the same ids as mixed-radix numbers and evaluates each
 edge once per valuation; the two must agree on everything they return and
-on the first domain error they report.  State predicates are checked
-against a filter over the reference's states, and the digit walk of
-`eval_state_predicate` against a per-state scan, on the eager table and
-on the on-the-fly system.
+on the first domain error they report.  State predicates, which
+`eval_state_predicate` reads off a `ModelSystem`'s digits, are checked
+against a filter over the reference's states.
 """
 
 import itertools
@@ -31,7 +30,6 @@ from reachproof import (
 )
 from reachproof.modeling import (
     DomainError,
-    ModelState,
     StateLimitError,
     ProcessDecl,
     _compile,
@@ -42,14 +40,14 @@ from reachproof.modeling import (
 from conftest import assert_same_system
 
 
-def _render_state(state: ModelState) -> str:
-    parts = list(state.locs) + [str(v).lower() if isinstance(v, bool) else str(v)
-                                for v in state.values]
+def _render_state(locs, values) -> str:
+    parts = list(locs) + [str(v).lower() if isinstance(v, bool) else str(v) for v in values]
     return "<" + ",".join(parts) + ">"
 
 
 def reference_expand(model):
-    """(ars, states, initial) of `model`, states in sorted-label order."""
+    """(ars, states, initial) of `model`, states in sorted-label order, each
+    its (locations, values) pair."""
     moves = []
     for proc in model.processes:
         by_src = {loc: [] for loc in proc.locations}
@@ -60,16 +58,15 @@ def reference_expand(model):
         moves.append(by_src)
 
     labelled = sorted(
-        (_render_state(state), state)
-        for state in itertools.starmap(ModelState, itertools.product(
+        (_render_state(*state), state)
+        for state in itertools.product(
             itertools.product(*(p.locations for p in model.processes)),
-            itertools.product(*(v.domain() for v in model.variables)))))
+            itertools.product(*(v.domain() for v in model.variables))))
     states = tuple(state for _, state in labelled)
-    index = {(s.locs, s.values): i for i, s in enumerate(states)}
+    index = {state: i for i, state in enumerate(states)}
 
     edges = []
-    for sid, state in enumerate(states):
-        locs, values = state.locs, state.values
+    for sid, (locs, values) in enumerate(states):
         for pi, by_src in enumerate(moves):
             for edge, guard, assigns in by_src[locs[pi]]:
                 if guard is not None and not guard(locs, values):
@@ -96,7 +93,7 @@ def reference_expand(model):
 def assert_matches_reference(text: str) -> None:
     model = parse_model(text)
     try:
-        want_ars, want_states, want_initial = reference_expand(model)
+        want_ars, _, want_initial = reference_expand(model)
     except DomainError as exc:
         with pytest.raises(DomainError) as got:
             expand(model)
@@ -106,7 +103,6 @@ def assert_matches_reference(text: str) -> None:
     assert render_ars(got.ars) == render_ars(want_ars)
     assert_same_system(got.ars, want_ars)
     assert got.initial == want_initial
-    assert got.states == want_states
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +272,13 @@ def test_state_predicates_match_a_filter_over_the_reference(text, data):
         _, want_states, _ = reference_expand(model)
     except DomainError:
         assume(False)
-    expansion = expand(model)
+    system = ModelSystem(model)
     variables = [(v.name, None if v.is_bool else (v.lo, v.hi)) for v in model.variables]
     for _ in range(3):
         expr = data.draw(_guard(variables, model.processes))
         test = _compile(model, parse_state_expr(expr), allow_loc=True)
-        want = canon(sid for sid, s in enumerate(want_states) if test(s.locs, s.values))
-        assert eval_state_predicate(expansion, expr) == want, expr
+        want = canon(sid for sid, state in enumerate(want_states) if test(*state))
+        assert eval_state_predicate(system, expr) == want, expr
 
 
 @st.composite
@@ -302,7 +298,7 @@ def _formulas(draw, variables, processes):
 def test_digit_walk_matches_the_per_state_scan(text, data):
     model = parse_model(text)
     try:
-        expansion = expand(model)
+        _, states, _ = reference_expand(model)
     except DomainError:
         assume(False)
     system = ModelSystem(model)
@@ -310,8 +306,7 @@ def test_digit_walk_matches_the_per_state_scan(text, data):
     for _ in range(4):
         expr = data.draw(_formulas(variables, model.processes))
         test = _compile(model, parse_state_expr(expr), allow_loc=True)
-        want = tuple(sid for sid, s in enumerate(expansion.states) if test(s.locs, s.values))
-        assert eval_state_predicate(expansion, expr) == want, expr
+        want = tuple(sid for sid, state in enumerate(states) if test(*state))
         assert eval_state_predicate(system, expr) == want, expr
 
 
@@ -325,7 +320,7 @@ def test_predicate_sets_are_capped():
         eval_state_predicate(system, "true")
 
 
-@pytest.mark.parametrize("locations", [("a", "a"), ("a b", "c")])
+@pytest.mark.parametrize("locations", [("a", "a"), ("a b", "c"), ("x,y", "z"), ("a>", "b")])
 def test_hand_built_locations_must_make_distinct_valid_labels(locations):
     model = Model((), (ProcessDecl("P", locations, locations[:1], ()),))
     with pytest.raises(ModelError, match="distinct valid state labels"):
@@ -337,9 +332,9 @@ def test_hand_built_locations_must_make_distinct_valid_labels(locations):
 def test_field_order_follows_the_separator():
     # `>` sorts after the digits, `,` before them.
     assert expand(parse_model(NO_VARIABLES)).ars.labels[:3] == ("<a,b1>", "<a,b>", "<a1,b1>")
-    states = expand(parse_model(SWAP_INT_LAST)).states
-    assert [s.values[-1] for s in states[:6]] == [-10, -11, -12, -1, -2, -3]
-    assert [s.values[-1] for s in states[12:18]] == [0, 10, 11, 12, 1, 2]
+    _, states, _ = reference_expand(parse_model(SWAP_INT_LAST))
+    assert [values[-1] for _, values in states[:6]] == [-10, -11, -12, -1, -2, -3]
+    assert [values[-1] for _, values in states[12:18]] == [0, 10, 11, 12, 1, 2]
 
 
 @pytest.mark.parametrize("text, first", [

@@ -4,6 +4,7 @@ import pytest
 
 from reachproof import (
     AprPredicate,
+    ModelSystem,
     VerdictKind,
     augment_error,
     builtin_peterson,
@@ -27,6 +28,7 @@ from reachproof.modeling import (
 )
 
 from conftest import semaphore_source
+from test_expand_reference import reference_expand
 
 # Golden constant: reachable states of the built-in mutual-exclusion model
 # from its two initial states, computed once by the closure and pinned.
@@ -81,10 +83,11 @@ GOLDEN_MODELS = dict(_golden_models())
 def _expansion_digest(name: str) -> str:
     """`render_ars` with the `expand` initial line, then each predicate's set."""
     make, preds = GOLDEN_MODELS[name]
-    exp = expand(make())
+    model = make()
+    exp, system = expand(model), ModelSystem(model)
     lines = [render_ars(exp.ars),
              "# initial: " + ",".join(exp.ars.labels[i] for i in exp.initial)]
-    lines += [f"{p}: {list(eval_state_predicate(exp, p))}" for p in preds]
+    lines += [f"{p}: {list(eval_state_predicate(system, p))}" for p in preds]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -231,32 +234,32 @@ class TestExpand:
         assert render_ars(one.ars) == render_ars(two.ars)
         assert one.initial == two.initial
 
-    def test_interleaving_justified_by_exactly_one_process_edge(self, peterson):
-        model = peterson.model
+    def test_interleaving_justified_by_exactly_one_process_edge(self, peterson, peterson_system):
+        model = peterson_system.model
+        _, states, _ = reference_expand(model)
         var_names = [v.name for v in model.variables]
-        enabled = {edge: set(eval_state_predicate(peterson, edge.guard))
+        enabled = {edge: set(eval_state_predicate(peterson_system, edge.guard))
                    for proc in model.processes for edge in proc.edges if edge.guard is not None}
         checked = 0
         for sid in range(0, peterson.ars.n, 3):
-            state = peterson.states[sid]
+            locs, values = states[sid]
             for dst in peterson.ars.succs[sid]:
-                dstate = peterson.states[dst]
+                dst_locs, dst_values = states[dst]
                 causes = []
                 for pi, proc in enumerate(model.processes):
                     others_same = all(
-                        dstate.locs[j] == state.locs[j] for j in range(len(model.processes))
-                        if j != pi)
+                        dst_locs[j] == locs[j] for j in range(len(model.processes)) if j != pi)
                     if not others_same:
                         continue
                     for edge in proc.edges:
-                        if edge.src != state.locs[pi] or edge.dst != dstate.locs[pi]:
+                        if edge.src != locs[pi] or edge.dst != dst_locs[pi]:
                             continue
-                        env = dict(zip(var_names, state.values))
+                        env = dict(zip(var_names, values))
                         new = dict(env)
                         for var, rhs in edge.assigns:
                             new[var] = env[rhs[1]] if rhs[0] == "name" else rhs[1]
                         guard_ok = edge.guard is None or sid in enabled[edge]
-                        if guard_ok and tuple(new[v] for v in var_names) == dstate.values:
+                        if guard_ok and tuple(new[v] for v in var_names) == dst_values:
                             causes.append((proc.name, edge))
                 assert len(causes) == 1
                 checked += 1
@@ -264,22 +267,23 @@ class TestExpand:
 
 
 class TestEvalStatePredicate:
-    def test_starvation_source_set(self, peterson):
-        src = eval_state_predicate(peterson, "loc(P0)=wait0 && b0=true")
+    def test_starvation_source_set(self, peterson_system):
+        src = eval_state_predicate(peterson_system, "loc(P0)=wait0 && b0=true")
         assert len(src) == 12
-        assert all(peterson.states[i].locs[0] == "wait0" for i in src)
-        assert all(peterson.states[i].values[0] is True for i in src)
+        _, states, _ = reference_expand(peterson_system.model)
+        assert all(states[i][0][0] == "wait0" for i in src)
+        assert all(states[i][1][0] is True for i in src)
 
-    def test_true_matches_all(self, peterson):
-        assert len(eval_state_predicate(peterson, "true")) == peterson.ars.n
+    def test_true_matches_all(self, peterson, peterson_system):
+        assert len(eval_state_predicate(peterson_system, "true")) == peterson.ars.n
 
-    def test_race_error_set(self, peterson):
-        err = eval_state_predicate(peterson, "loc(P0)=crit0 && loc(P1)=crit1")
+    def test_race_error_set(self, peterson_system):
+        err = eval_state_predicate(peterson_system, "loc(P0)=crit0 && loc(P1)=crit1")
         assert len(err) == 8
 
-    def test_negation_and_disequality(self, peterson):
-        left = eval_state_predicate(peterson, "!(x = 0)")
-        right = eval_state_predicate(peterson, "x != 1")
+    def test_negation_and_disequality(self, peterson_system):
+        left = eval_state_predicate(peterson_system, "!(x = 0)")
+        right = eval_state_predicate(peterson_system, "x != 1")
         assert len(left) == 36 and len(right) == 36
         assert not set(left) & set(right)
 
@@ -296,28 +300,29 @@ class TestEvalStatePredicate:
         ("b0 < true", "operator < needs integer operands"),
         ("b0 = true extra", "trailing input"),
     ])
-    def test_type_errors(self, peterson, expr, needle):
+    def test_type_errors(self, peterson_system, expr, needle):
         with pytest.raises(ModelError, match=needle):
-            eval_state_predicate(peterson, expr)
+            eval_state_predicate(peterson_system, expr)
 
-    def test_long_chains_are_flat(self, peterson):
-        b0 = eval_state_predicate(peterson, "b0")
+    def test_long_chains_are_flat(self, peterson_system):
+        b0 = eval_state_predicate(peterson_system, "b0")
         for op in ("&&", "||"):
             text = f" {op} ".join(["b0"] * 1200)
             assert len(parse_state_expr(text)) == 1201
-            assert eval_state_predicate(peterson, text) == b0
+            assert eval_state_predicate(peterson_system, text) == b0
 
     @pytest.mark.parametrize("prefix, suffix", [("(", ")"), ("!!", "")])
-    def test_nesting_limit(self, peterson, prefix, suffix):
+    def test_nesting_limit(self, peterson_system, prefix, suffix):
         ok = prefix * (MAX_NESTING // len(prefix)) + "b0" + suffix * (MAX_NESTING // len(prefix))
-        assert eval_state_predicate(peterson, ok) == eval_state_predicate(peterson, "b0")
+        b0 = eval_state_predicate(peterson_system, "b0")
+        assert eval_state_predicate(peterson_system, ok) == b0
         with pytest.raises(ModelSyntaxError, match="nested deeper than") as info:
             parse_state_expr(prefix + ok + suffix)
         assert (info.value.line, info.value.column) == (1, MAX_NESTING + 1)
 
-    def test_parse_state_expr_ast_reusable(self, peterson):
+    def test_parse_state_expr_ast_reusable(self, peterson_system):
         ast = parse_state_expr("b0=true || b1=true")
-        assert len(eval_state_predicate(peterson, ast)) == 54
+        assert len(eval_state_predicate(peterson_system, ast)) == 54
 
 
 class TestPetersonVerdicts:
@@ -338,24 +343,24 @@ class TestPetersonVerdicts:
         assert len(seen) == PETERSON_REACHABLE
         assert seen == set(closure)
 
-    def test_race_error_states_unreachable(self, peterson):
-        err = eval_state_predicate(peterson, "loc(P0)=crit0 && loc(P1)=crit1")
+    def test_race_error_states_unreachable(self, peterson, peterson_system):
+        err = eval_state_predicate(peterson_system, "loc(P0)=crit0 && loc(P1)=crit1")
         assert not set(reachable(peterson.ars, peterson.initial)) & set(err)
 
     def test_no_normal_form_reachable(self, peterson):
         reach = reachable(peterson.ars, peterson.initial)
         assert not set(reach) & set(peterson.ars.normal_forms)
 
-    def test_race_freedom_by_prover_and_oracle(self, peterson):
-        err = eval_state_predicate(peterson, "loc(P0)=crit0 && loc(P1)=crit1")
+    def test_race_freedom_by_prover_and_oracle(self, peterson, peterson_system):
+        err = eval_state_predicate(peterson_system, "loc(P0)=crit0 && loc(P1)=crit1")
         aug, _ = augment_error(peterson.ars, err)
         pred = AprPredicate(peterson.initial, ())
         assert check_partial(aug, pred).kind is VerdictKind.PARTIALLY_VALID
         assert oracle_partial(aug, pred).valid
 
-    def test_starvation_freedom_by_prover_and_oracle(self, peterson):
-        src = eval_state_predicate(peterson, "loc(P0)=wait0 && b0=true")
-        goal = eval_state_predicate(peterson, "loc(P0)=crit0")
+    def test_starvation_freedom_by_prover_and_oracle(self, peterson, peterson_system):
+        src = eval_state_predicate(peterson_system, "loc(P0)=wait0 && b0=true")
+        goal = eval_state_predicate(peterson_system, "loc(P0)=crit0")
         pred = AprPredicate(src, goal)
         assert check_total(peterson.ars, pred).kind is VerdictKind.TOTALLY_VALID
         assert oracle_total(peterson.ars, pred).valid

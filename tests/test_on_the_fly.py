@@ -7,7 +7,8 @@ run on `expand(model).ars`, with the same predicates and
 `build_safety_query` on the eager table.  Exit code, `--json` report (time
 masked), DOT and trace must be byte-identical, and the states whose
 successors were computed must lie in the source, the avoiding region and
-the sinks.
+the sinks.  At benchmark scale, every op of the benchmark's `models`
+workload is run through the CLI and checked as a benchmark pass is.
 """
 
 import argparse
@@ -16,11 +17,13 @@ import itertools
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reachproof
 from reachproof import (
     AprPredicate,
     ModelError,
@@ -37,7 +40,7 @@ from reachproof import cli
 from reachproof.modeling import PETERSON_SOURCE
 from reachproof.prover import ProverConfig, check_partial, check_total
 
-from conftest import semaphore_source
+from conftest import bench_checks, bench_workloads, semaphore_source
 from test_cli import _PREDICATES, _model_texts
 from test_expand_reference import NO_VARIABLES, SWAP_INT_LAST, several_domain_errors
 from test_modeling import COUNTER_PREDICATES, COUNTER_SOURCE, PETERSON_PREDICATES
@@ -71,10 +74,11 @@ def reference_output(tmp_path, model_text, command, source, target, mode, strate
     """The same outputs from the library on the eager table."""
     dot, trace = tmp_path / "ref.dot", tmp_path / "ref.trace"
     try:
-        exp = expand(parse_model(model_text))
-        ars = exp.ars
-        src = eval_state_predicate(exp, source)
-        tgt = eval_state_predicate(exp, target)
+        model = parse_model(model_text)
+        ars = expand(model).ars
+        system = ModelSystem(model)
+        src = eval_state_predicate(system, source)
+        tgt = eval_state_predicate(system, target)
     except ModelError as exc:
         return "\n".join(["2", "", f"error: {exc}\n", "", ""])
     if command == "safety":
@@ -191,8 +195,8 @@ def test_random_models_answer_like_the_eager_table(tmp_path, text, source, targe
 def test_system_reads_like_the_eager_table():
     for text in (PETERSON_SOURCE, COUNTER_SOURCE, SWAP_INT_LAST, NO_VARIABLES,
                  semaphore_source(4, 1)):
-        exp = expand(parse_model(text))
-        system = ModelSystem(exp.model)
+        model = parse_model(text)
+        exp, system = expand(model), ModelSystem(model)
         assert system.n == exp.ars.n
         assert tuple(system.succs) == exp.ars.succs
         assert tuple(system.labels) == exp.ars.labels
@@ -201,3 +205,25 @@ def test_system_reads_like_the_eager_table():
         assert [system.id_of(label) for label in exp.ars.labels] == list(range(exp.ars.n))
         assert not system.has_label("<" + exp.ars.labels[0]) and not system.has_label("any")
         assert render_ars(exp.ars).startswith("states " + " ".join(system.labels))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_models_workload_passes_the_bench_checks(tmp_path, seed):
+    """Every op of the benchmark's `models` workload, run through `cli.main`
+    and checked as the benchmark checks a pass: the generator's verdicts,
+    the oracle on the re-parsed `expand` output, the witnesses, and the
+    `expand` counts and initial line."""
+    checks = bench_checks()
+    plan = bench_workloads().models(tmp_path, seed)
+    for path, text in plan.files.items():
+        Path(path).write_text(text, encoding="utf-8")
+    outcomes = []
+    for op in plan.ops:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(op.argv)
+        assert err.getvalue() == "", op.name
+        outcomes.append(checks.Outcome(0.0, code, out.getvalue()))
+    problems = checks.Checker(reachproof).check_pass(plan.ops, outcomes, lambda i: None)
+    assert [(op.name, p) for op, p in zip(plan.ops, problems) if p] == []
+    assert sum(op.query is None for op in plan.ops) == 7

@@ -74,10 +74,10 @@ class TestOracleTotal:
         assert not answer.valid
         assert isinstance(answer.witness, FinitePath)
 
-    def test_peterson_starvation_freedom(self, peterson):
+    def test_peterson_starvation_freedom(self, peterson, peterson_system):
         from reachproof import eval_state_predicate
-        src = eval_state_predicate(peterson, "loc(P0)=wait0 && b0=true")
-        goal = eval_state_predicate(peterson, "loc(P0)=crit0")
+        src = eval_state_predicate(peterson_system, "loc(P0)=wait0 && b0=true")
+        goal = eval_state_predicate(peterson_system, "loc(P0)=crit0")
         assert oracle_total(peterson.ars, AprPredicate(src, goal)).valid
 
 

@@ -6,10 +6,12 @@ from reachproof import (
     AprPredicate,
     Ars,
     ArsError,
+    ModelSystem,
     VerdictKind,
     augment_any,
     augment_error,
     build_safety_query,
+    builtin_peterson,
     canon,
     check_partial,
     eval_state_predicate,
@@ -72,8 +74,8 @@ class TestAugmentError:
         with pytest.raises(ArsError):
             augment_error(a1, ())
 
-    def test_peterson_race_states_feed_error(self, peterson):
-        err_states = eval_state_predicate(peterson, "loc(P0)=crit0 && loc(P1)=crit1")
+    def test_peterson_race_states_feed_error(self, peterson, peterson_system):
+        err_states = eval_state_predicate(peterson_system, "loc(P0)=crit0 && loc(P1)=crit1")
         new, err = augment_error(peterson.ars, err_states)
         assert all(err in new.succs[s] for s in err_states)
         assert new.labels[:peterson.ars.n] == peterson.ars.labels
@@ -130,9 +132,10 @@ class TestBuildSafetyQuery:
     ("sem3-racy", "loc(P1)=crit1 && loc(P2)=crit2"),
 ])
 def test_augmentations_equal_a_full_rebuild(peterson, system, errors):
-    exp = peterson if system == "peterson" else expand(parse_model(
-        semaphore_source(3, 1 if system == "sem3-racy" else None)))
-    ars, e = exp.ars, eval_state_predicate(exp, errors)
+    model = builtin_peterson() if system == "peterson" else parse_model(
+        semaphore_source(3, 1 if system == "sem3-racy" else None))
+    exp = peterson if system == "peterson" else expand(model)
+    ars, e = exp.ars, eval_state_predicate(ModelSystem(model), errors)
     assert e and not any(map(ars.is_normal_form, e))
     err_ars, err = augment_error(ars, e)
     assert err == ars.n
@@ -145,7 +148,7 @@ def test_augmentations_equal_a_full_rebuild(peterson, system, errors):
     assert pred == AprPredicate(exp.initial, (anyid,))
     # The base systems are untouched.
     assert ars.n + 1 == err_ars.n and "error" not in ars.index and "any" not in err_ars.index
-    assert_same_system(ars, expand(exp.model).ars)
+    assert_same_system(ars, expand(model).ars)
 
 
 def _exact_safety_instance(rng):
