@@ -40,7 +40,6 @@ from .proofs import (
     PreProof,
     ProofGraph,
     RuleName,
-    SplitStrategy,
     ValidationReport,
     applicable_rule,
     is_acyclic,
@@ -55,6 +54,7 @@ from .prover import (
     Lasso,
     NodeBudgetExceeded,
     ProverConfig,
+    SplitStrategy,
     Verdict,
     VerdictKind,
     Witness,

@@ -380,14 +380,13 @@ def reachable(ars: System, p: Iterable[int]) -> StateSet:
 
 @dataclass(frozen=True)
 class ExecutionPath:
-    """A finite run of the system; `is_maximal` means it ends stuck.
+    """A maximal finite run of the system: it ends stuck.
 
     Only finite paths are materialized.  Infinite runs are reported as
     lassos (see the prover's witness types).
     """
 
     steps: tuple[int, ...]
-    is_maximal: bool = True
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -400,7 +399,7 @@ def execution_path_violations(ars: System, path: ExecutionPath) -> list[str]:
     for a, b in zip(path.steps, path.steps[1:]):
         if b not in ars.succs[a]:
             problems.append(f"no edge {ars.labels[a]} -> {ars.labels[b]}")
-    if path.is_maximal and not ars.is_normal_form(path.steps[-1]):
+    if not ars.is_normal_form(path.steps[-1]):
         problems.append(f"maximal path ends at reducible {ars.labels[path.steps[-1]]}")
     return problems
 

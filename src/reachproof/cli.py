@@ -38,7 +38,6 @@ from .oracle import oracle_partial, oracle_total
 from .proofs import (  # noqa: F401
     AprPredicate,
     RuleName,
-    SplitStrategy,
     is_acyclic,
     predicate_formatter,
     proof_graph,
@@ -48,6 +47,7 @@ from .prover import (
     FinitePath,
     NodeBudgetExceeded,
     ProverConfig,
+    SplitStrategy,
     Verdict,
     VerdictKind,
     Witness,
@@ -281,9 +281,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    if not args.model and not args.builtin:
-        raise UsageError("expand needs --model or --builtin")
-    args.ars = None
+    if bool(args.model) == bool(args.builtin):
+        raise UsageError("expand needs exactly one of --model, --builtin")
     expansion = expand(_load_model(args), max_states=args.max_states)
     text = render_ars(expansion.ars)
     init = join_labels(expansion.ars.labels, expansion.initial, ",")
@@ -306,8 +305,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_input_flags(sp, cap_help: str) -> None:
-    sp.add_argument("--ars", help="system file in the line-based states/trans format")
+def _add_model_flags(sp, cap_help: str) -> None:
     sp.add_argument("--model", help="model file in the guarded-transition DSL")
     sp.add_argument("--builtin", help="built-in model name (peterson)")
     sp.add_argument("--max-states", type=_positive_int, default=DEFAULT_STATE_CAP,
@@ -326,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, spec in QUERIES.items():
         sp = sub.add_parser(name, help=spec.help)
-        _add_input_flags(sp, "cap on the model states a query explores, the states a "
+        sp.add_argument("--ars", help="system file in the line-based states/trans format")
+        _add_model_flags(sp, "cap on the model states a query explores, the states a "
                              "state predicate selects and the variable valuations")
         sp.add_argument(*spec.source_flags, dest="source", required=True,
                         help="comma-joined labels, or a state predicate for models")
@@ -345,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=cmd_query)
 
     sp = sub.add_parser("expand", help="expand a model to the system format")
-    _add_input_flags(sp, "cap on the expanded state-space size (the product of the domains)")
+    _add_model_flags(sp, "cap on the expanded state-space size (the product of the domains)")
     sp.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    sp.set_defaults(func=cmd_expand)
+    sp.set_defaults(func=cmd_expand, ars=None)
 
     return ap
 

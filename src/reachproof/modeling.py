@@ -646,7 +646,7 @@ def _effects(model: Model, moves, loc_axes, valuations, vindex, weight) -> list[
 
 
 def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
-    """The whole table of `ModelSystem(model)`, filled in bulk.
+    """The whole table of `ModelSystem(model)`: its step mapped over every id.
 
     Object order is lexicographic on the rendered state label
     `<loc,...,loc,value,...,value>`, so identical model text always yields a
@@ -656,11 +656,6 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
     id is its mixed-radix number over those sorted fields, the variables
     being the low-order digits.
 
-    The transitions come from the system's effect table (`_effects`): for
-    every location index `li` whose digit for a process is `d`, `li*|V| +
-    vi -> li*|V| + vi + delta` for each delta the table holds at `d` and
-    `vi`.  One pass per table row fills every state it covers, which is
-    faster than computing each state's successors from its digits.
     `max_states` caps the product of the domain sizes; an ill-typed
     assignment is reported before the cap, a domain error after it.
     """
@@ -669,25 +664,13 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
         _moves(model)  # raises on an ill-typed assignment
         raise StateLimitError(f"state space of {size} states exceeds cap {max_states}")
     system = ModelSystem(model, max_states)
-    nv = system._nv
-    succ: list[set[int]] = [set() for _ in range(size)]
-    for w, radix, table in system._moves:
-        for d in range(radix):
-            row = table[d * nv:(d + 1) * nv]
-            if not any(row):
-                continue
-            # The states with this process at digit d and valuation 0.
-            bases = [hi + lo for hi in range(d * w, size, w * radix) for lo in range(0, w, nv)]
-            for vi, deltas in enumerate(row):
-                for delta in deltas:
-                    for b in bases:
-                        succ[b + vi].add(b + vi + delta)
     # The system's labels, a head per block of `tail` ids and a tail each.
     labels = tuple(head + tail for head in system._heads for tail in system._tails)
+    # The step counts the states it explores, but `size` is within the cap.
     ars = Ars._from_table(labels, dict(zip(labels, range(size))),
-                          tuple(tuple(sorted(s)) for s in succ))
+                          tuple(map(system._step, range(size))))
     weight = [w for w, _, _ in system._moves]
-    vindex = dict(zip(system.valuations, range(nv)))
+    vindex = dict(zip(system.valuations, range(len(system.valuations))))
     initial = canon(
         sum(w * axis.index(loc) for w, axis, loc in zip(weight, system.loc_axes, locs))
         + vindex[values]
@@ -701,7 +684,7 @@ class ModelSystem(LazySystem):
     """The model's system, explored on the fly: a state's successors are
     computed from the digits of its id, through the effect table, when a
     query first reads them.  So a query costs what it reaches, not the
-    product of the domain sizes.  `expand` fills the same table in bulk.
+    product of the domain sizes.  `expand` maps the same step over every id.
 
     `max_states` caps the states whose successors are computed, the
     states a state predicate selects over it, and the number of
@@ -734,7 +717,7 @@ class ModelSystem(LazySystem):
         # system is freed by reference counting, without a cycle.
         explored = 0
 
-        def successors(s: int) -> StateSet:
+        def step(s: int) -> StateSet:
             nonlocal explored
             if explored == max_states:
                 raise StateLimitError(f"query explored {explored} states, reaching cap {max_states}")
@@ -744,6 +727,8 @@ class ModelSystem(LazySystem):
             for w, radix, table in moves:
                 deltas += table[s // w % radix * nv + vi]
             return tuple(map(s.__add__, sorted(set(deltas))))
+
+        self._step = step
 
         # A label is a head, the text of the high fields, computed once per
         # head, plus a tail from a table of every text of the low fields.
@@ -756,7 +741,7 @@ class ModelSystem(LazySystem):
         self._tails = tails = _field_texts(axes[cut:])
         self._heads = heads = _LazyTable(
             n // tail, partial(_head_text, axes[:cut], "<" if axes else "<>"))
-        super().__init__(n, successors, lambda s: heads[s // tail] + tails[s % tail])
+        super().__init__(n, step, lambda s: heads[s // tail] + tails[s % tail])
 
     def is_normal_form(self, i: int) -> bool:
         # Read off the effect table, so that testing a state (as

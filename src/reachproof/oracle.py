@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ars import ExecutionPath, System, bfs, bfs_path, cyclic_sccs, region_succs
+from .ars import ExecutionPath, System, bfs, bfs_path
 from .proofs import AprPredicate
-from .prover import FinitePath, Witness, extract_lasso
+from .prover import FinitePath, Witness, region_lasso
 
 
 @dataclass(frozen=True)
@@ -35,32 +35,26 @@ class OracleAnswer:
             raise ValueError("invalid answers need a witness")
 
 
-def _region_tree(ars: System, pred: AprPredicate) -> dict[int, int | None]:
-    """Breadth-first tree of the avoiding region."""
-    return bfs(ars, ars.check_members(pred.source), ars.check_members(pred.target))
-
-
 def _stuck_path(ars: System, tree: dict[int, int | None]) -> FinitePath | None:
     """Shortest target-free run into a normal form: the tree path to the
     first normal form the search discovered."""
     stuck = next((v for v in tree if v in ars._nf), None)
     if stuck is None:
         return None
-    return FinitePath(ExecutionPath(bfs_path(tree, stuck), is_maximal=True))
+    return FinitePath(ExecutionPath(bfs_path(tree, stuck)))
 
 
 def oracle_partial(ars: System, pred: AprPredicate) -> OracleAnswer:
     """Exact decision of partial validity by region analysis."""
-    path = _stuck_path(ars, _region_tree(ars, pred))
+    tree = bfs(ars, ars.check_members(pred.source), ars.check_members(pred.target))
+    path = _stuck_path(ars, tree)
     return OracleAnswer(path is None, path)
 
 
 def oracle_total(ars: System, pred: AprPredicate) -> OracleAnswer:
-    """Exact decision of total validity by region analysis."""
-    tree = _region_tree(ars, pred)
-    path = _stuck_path(ars, tree)
-    if path is not None:
-        return OracleAnswer(False, path)
-    if next(cyclic_sccs(region_succs(ars, tree)), None) is not None:
-        return OracleAnswer(False, extract_lasso(ars, pred))
-    return OracleAnswer(True)
+    """Exact decision of total validity by region analysis: one breadth-first
+    tree of the avoiding region yields both the stuck run and the lasso."""
+    target = ars.check_members(pred.target)
+    tree = bfs(ars, ars.check_members(pred.source), target)
+    witness = _stuck_path(ars, tree) or region_lasso(ars, tree, target)
+    return OracleAnswer(witness is None, witness)

@@ -59,11 +59,6 @@ class AprPredicate:
         fields["target"] = target
         fields["is_bottom"] = is_bottom
 
-    def __str__(self) -> str:
-        if self.is_bottom:
-            return "BOT"
-        return f"<{{{','.join(map(str, self.source))}}}> => <{{{','.join(map(str, self.target))}}}>"
-
 
 BOTTOM = AprPredicate((), (), is_bottom=True)
 
@@ -107,23 +102,9 @@ class RuleName(Enum):
         return self.value
 
 
-class SplitStrategy(Enum):
-    """How ``Subs``/``Der`` premises partition their result set.
-
-    ``MONOLITHIC`` never splits: both rules emit a single child.
-    ``EAGER`` additionally splits off, as singleton children, those
-    derivative states whose singleton goal can fold onto an already
-    available companion; the remaining states stay together in one child.
-    """
-
-    EAGER = "eager"
-    MONOLITHIC = "monolithic"
-
-
 # Members bound once for the per-goal step: before Python 3.12, reading a
 # member off its Enum class runs Python code (about 0.15 us a read).
 _AXIOM, _SUBS, _DER, _DIS = RuleName
-_MONOLITHIC = SplitStrategy.MONOLITHIC
 
 
 def applicable_rules(ars: System, pred: AprPredicate) -> list[RuleName]:
@@ -148,13 +129,12 @@ def applicable_rule(ars: System, pred: AprPredicate,
                     target_set: AbstractSet[int] | None = None) -> RuleName:
     """The unique rule applicable to a canonical non-bottom goal: the rule
     of the step `premises` takes on it (test surface)."""
-    return premises(ars, pred, SplitStrategy.MONOLITHIC, frozenset(), target_set)[0]
+    return premises(ars, pred, frozenset(), target_set)[0]
 
 
 def premises(
     ars: System,
     pred: AprPredicate,
-    strategy: SplitStrategy = SplitStrategy.EAGER,
     fold_states: AbstractSet[int] = frozenset(),
     target_set: AbstractSet[int] | None = None,
     stop: AbstractSet[int] | None = None,
@@ -170,10 +150,11 @@ def premises(
     normal forms: on a lazy system the test computes successors, and no goal
     needs those of a target state.
 
-    `fold_states` holds the states whose singleton goal (with the target of
-    `pred`) is a companion available to the caller; the eager strategy
-    splits those states of a ``Der`` result off as singleton children, in
-    id order and ahead of the rest, so they close as buds.  It is read
+    `fold_states` is the fold set: a ``Der`` result splits exactly those of
+    its states off as singleton children, in id order and ahead of the
+    rest, and an empty fold set leaves it one child.  The eager strategy
+    passes the states whose singleton goal (with the target of `pred`) is
+    a companion, so those children close as buds.  It is read
     only by its size, by ``isdisjoint`` with the result and, on a hit, by
     ``in``: never iterated or copied, so the cost of a call does not grow
     with the proof around it.  `target_set` is ``set(pred.target)``: a caller proving many
@@ -202,7 +183,7 @@ def premises(
         if not ars._nf.isdisjoint(p):
             return _DIS, [BOTTOM]
     deriv = tuple(sorted(image(ars, p)))
-    if strategy is not _MONOLITHIC and fold_states and not fold_states.isdisjoint(deriv):
+    if fold_states and not fold_states.isdisjoint(deriv):
         folded = tuple(filter(fold_states.__contains__, deriv))
         parts = [AprPredicate((t,), q) for t in folded]
         if len(folded) < len(deriv):

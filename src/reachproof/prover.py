@@ -32,7 +32,6 @@ from .proofs import (
     PreProof,
     ProofGraph,
     RuleName,
-    SplitStrategy,
     is_acyclic,
     premises,
     proof_graph,
@@ -41,6 +40,19 @@ from .proofs import (
 
 class NodeBudgetExceeded(RuntimeError):
     """The proof search created more nodes than the configured cap."""
+
+
+class SplitStrategy(Enum):
+    """The fold set `prove` hands `premises` for each goal.
+
+    ``MONOLITHIC`` passes an empty one: every rule emits a single child.
+    ``EAGER`` passes the states whose singleton goal can fold onto an
+    already available companion, so a ``Der`` result splits those off as
+    singleton children; the remaining states stay together in one child.
+    """
+
+    EAGER = "eager"
+    MONOLITHIC = "monolithic"
 
 
 @dataclass(frozen=True)
@@ -133,11 +145,11 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
     # and gives it back unless the rule is Der.
     companions: dict[StateSet, int] = {}
     fold_states: set[int] = set()
+    folds = fold_states if cfg.strategy is SplitStrategy.EAGER else frozenset()
     target_set = frozenset(pred.target)
     # With the normal forms as a set, most goals reach Der by one test.
     stop = target_set | ars._nf if isinstance(ars._nf, frozenset) else None
     budget = cfg.node_budget
-    strategy = cfg.strategy
     der, dis = RuleName.DER, RuleName.DIS
     queue = [0]
 
@@ -148,7 +160,7 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
         if comp != v:
             xi[v] = comp
             continue
-        rule, kid_preds = premises(ars, pv, strategy, fold_states, target_set, stop)
+        rule, kid_preds = premises(ars, pv, folds, target_set, stop)
         rules[v] = rule
         w = len(preds)
         if w + len(kid_preds) > budget:
@@ -234,7 +246,7 @@ def extract_finite_counterexample(ars: System, disproof: PreProof) -> ExecutionP
             if pred_state != cur:
                 chain.append(pred_state)
         # Subs: the chosen state survives the subtraction unchanged.
-    return ExecutionPath(tuple(reversed(chain)), is_maximal=True)
+    return ExecutionPath(tuple(reversed(chain)))
 
 
 def extract_lasso(ars: System, pred: AprPredicate) -> Lasso:
@@ -245,14 +257,22 @@ def extract_lasso(ars: System, pred: AprPredicate) -> Lasso:
     shortest by breadth-first search.
     """
     target = ars.check_members(pred.target)
-    tree = bfs(ars, ars.check_members(pred.source), target)
+    lasso = region_lasso(ars, bfs(ars, ars.check_members(pred.source), target), target)
+    if lasso is None:
+        raise ValueError("no cycle in the avoiding region")
+    return lasso
+
+
+def region_lasso(ars: System, tree: dict[int, int | None], target: StateSet) -> Lasso | None:
+    """The lasso of `extract_lasso`, read off `tree`, the `bfs` tree of the
+    region avoiding `target`; None when the region has no cycle."""
     succs = region_succs(ars, tree)
+    cyclic = [v for comp in cyclic_sccs(succs) for v in comp]
+    if not cyclic:
+        return None
     depth: dict[int, int] = {}
     for v, u in tree.items():  # parents are discovered before children
         depth[v] = 0 if u is None else depth[u] + 1
-    cyclic = [v for comp in cyclic_sccs(succs) for v in comp]
-    if not cyclic:
-        raise ValueError("no cycle in the avoiding region")
     entry = min(cyclic, key=lambda v: (depth[v], v))
     stem = bfs_path(tree, entry)[:-1]
     if entry in succs[entry]:
@@ -270,8 +290,6 @@ def witness_violations(ars: System, pred: AprPredicate, witness: Witness) -> lis
     problems = []
     if isinstance(witness, FinitePath):
         problems.extend(execution_path_violations(ars, witness.path))
-        if not witness.path.is_maximal:
-            problems.append("finite counterexample must be maximal")
         if witness.path.steps[0] not in src:
             problems.append("path does not start in the source set")
         if any(s in tgt for s in witness.path.steps):

@@ -343,7 +343,7 @@ class TestExecutionPath:
         assert execution_path_violations(a1, ExecutionPath((0, 2)))
 
     def test_nonmaximal_end_detected(self, a1):
-        assert execution_path_violations(a1, ExecutionPath((0, 1), is_maximal=True))
+        assert execution_path_violations(a1, ExecutionPath((0, 1)))
 
 
 def test_a1_text_matches_fixture(a1):

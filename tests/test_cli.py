@@ -69,6 +69,12 @@ class TestCheck:
         assert code == 2
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("command", [["check", "--source", "x", "--target", "y"], ["expand"]])
+    def test_unknown_builtin_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--builtin", "nope")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown builtin 'nope' (available: peterson)\n"
+
     def test_bad_flag_combination(self, capsys):
         code, _, _ = run(capsys, "check", "--mode", "sideways")
         assert code == 2
@@ -201,6 +207,22 @@ class TestCheck:
         code, out, err = run(capsys, "expand", "--model", str(path))
         assert (code, out) == (2, "")
         assert err == "error: line 4, column 120: expression nested deeper than 100 levels\n"
+
+    def test_deep_model_ends_in_a_verdict(self, capsys, tmp_path):
+        # One location digit per process, 600 of them: every walk over the
+        # processes or the digits must be a loop, or this query ends in a
+        # RecursionError traceback and exit status 1, which reads "unsafe".
+        n = 600
+        model = tmp_path / "deep.model"
+        model.write_text("var f: bool = false\n" + "".join(
+            f"process P{i} {{\n  loc a{i} init\n  loc b{i}\n"
+            f"  edge a{i} -> b{i} when !f do f := true\n}}\n" for i in range(n)))
+        start = " && ".join(f"loc(P{i})=a{i}" for i in range(n)) + " && !f"
+        error = " && ".join(f"loc(P{i})={'b' if i < 2 else 'a'}{i}" for i in range(n))
+        code, out, err = run(capsys, "safety", "--model", str(model),
+                             "--from", start, "--error", error)
+        assert (code, err) == (0, "")
+        assert out.startswith("safe: no error state reachable\nverdict: PartiallyValid\n")
 
     def test_long_conjunction_decides_like_its_atom(self, capsys):
         outputs = []
@@ -366,6 +388,19 @@ class TestExpandExport:
         nodes = json.loads(out)["stats"]["nodes"]
         assert nodes > n
         assert len(trace.read_text().splitlines()) == nodes
+
+    def test_expand_takes_no_ars_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "expand", "--ars", str(tmp_path / "missing.ars"),
+                             "--builtin", "peterson")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --ars" in err
+        code, out, _ = run(capsys, "expand", "--help")
+        assert code == 0
+        assert "--builtin" in out and "--ars" not in out
+        for flags in ([], ["--model", str(tmp_path / "m.model"), "--builtin", "peterson"]):
+            code, out, err = run(capsys, "expand", *flags)
+            assert (code, out, err) == (2, "", "error: expand needs exactly one of --model, "
+                                                "--builtin\n")
 
     def test_export_needs_an_artifact_path(self, capsys, a1_file):
         code, _, err = run(capsys, "export", "--ars", a1_file,

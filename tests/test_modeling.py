@@ -173,6 +173,15 @@ class TestParseModel:
         ("process P { loc a init\n edge a -> a do z := 1 }", "unknown variable"),
         ("var b: bool = false\nprocess P { loc a init\n edge a -> a when b = 1 }", "mismatch"),
         ("var x: int[0..1] = 0\nprocess P { loc a init\n edge a -> a when x }", "not boolean"),
+        ("process P { loc a@ init }", "unexpected character '@'"),
+        ("process P { loc a init\n edge a -> a when loc(P) = a }",
+         r"loc\(\) atoms are not allowed in guards"),
+        ("var x: float = 0\nprocess P { loc a init }", "expected 'bool' or 'int', got 'float'"),
+        ("var x: int[a..1] = 0\nprocess P { loc a init }", "expected an integer, got 'a'"),
+        ("process P { loc a init", "unterminated process block"),
+        ("process P { }", "process 'P' has no locations"),
+        ("var x: int[0..1] = 0\nprocess P { loc a init\n edge a -> a do x := y }",
+         "line 3, column 22: unknown variable 'y'"),
     ])
     def test_rejects(self, text, needle):
         with pytest.raises(ModelError, match=needle):
@@ -299,10 +308,16 @@ class TestEvalStatePredicate:
         ("loc(P0)", "loc is not a boolean atom"),
         ("b0 < true", "operator < needs integer operands"),
         ("b0 = true extra", "trailing input"),
+        ("loc(P0) = loc(P1)", r"loc\(P1\) is not a location of P0"),
     ])
     def test_type_errors(self, peterson_system, expr, needle):
         with pytest.raises(ModelError, match=needle):
             eval_state_predicate(peterson_system, expr)
+
+    @pytest.mark.parametrize("op", ["=", "!="])
+    def test_location_atoms_read_either_way_round(self, peterson_system, op):
+        assert eval_state_predicate(peterson_system, f"crit0 {op} loc(P0)") == \
+            eval_state_predicate(peterson_system, f"loc(P0){op}crit0")
 
     def test_long_chains_are_flat(self, peterson_system):
         b0 = eval_state_predicate(peterson_system, "b0")

@@ -205,6 +205,10 @@ def test_system_reads_like_the_eager_table():
         assert [system.id_of(label) for label in exp.ars.labels] == list(range(exp.ars.n))
         assert not system.has_label("<" + exp.ars.labels[0]) and not system.has_label("any")
         assert render_ars(exp.ars).startswith("states " + " ".join(system.labels))
+        for table in (system.succs, system.labels):
+            for i in (-1, system.n):
+                with pytest.raises(IndexError, match=f"object id {i} outside"):
+                    table[i]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

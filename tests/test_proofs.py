@@ -12,6 +12,7 @@ from reachproof import (
     UnknownObjectError,
     DerivationTree,
     PreProof,
+    ProofGraph,
     ProverConfig,
     RuleName,
     SplitStrategy,
@@ -65,6 +66,27 @@ def hand_built_disproof(a1) -> PreProof:
     return PreProof(DerivationTree(preds, rules, children, 0), {})
 
 
+def edited(a1, base: str, changes: dict) -> PreProof:
+    """The worked `proof` or `disproof` of `a1` with `changes` made: a new
+    `root`, nodes appended (`extra`), and entries of `preds`, `rules`,
+    `children` and `xi` set, or deleted where the value is None."""
+    pp = {"proof": hand_built_proof, "disproof": hand_built_disproof}[base](a1)
+    t = pp.tree
+    t.root = changes.get("root", t.root)
+    t.preds.extend(changes.get("extra", ()))
+    for name, table in (("preds", t.preds), ("rules", t.rules),
+                        ("children", t.children), ("xi", pp.xi)):
+        for k, v in changes.get(name, {}).items():
+            if v is None:
+                del table[k]
+            else:
+                table[k] = v
+    return pp
+
+
+Q = (2, 3)  # {c,d}, the target of the worked proof
+
+
 class TestPredicate:
     def test_equality_is_extensional(self):
         assert predicate([2, 1, 1], [3]) == AprPredicate((1, 2), (3,))
@@ -111,8 +133,8 @@ def test_premises_applies_the_applicable_rule(data, where, offset):
     pred = AprPredicate(p, q)
     (rule,) = applicable_rules(ars, pred)
     assert applicable_rule(ars, pred) is rule
-    for strategy in SplitStrategy:
-        assert premises(ars, pred, strategy)[0] is rule
+    for fold_states in (frozenset(), frozenset(range(ars.n))):
+        assert premises(ars, pred, fold_states)[0] is rule
     # Out-of-table ids are still rejected, by the fast check at the ends.
     bad = offset if offset < 0 else ars.n + offset
     if where == "source":
@@ -121,9 +143,9 @@ def test_premises_applies_the_applicable_rule(data, where, offset):
         pred = AprPredicate(p, canon(q + (bad,)))
     with pytest.raises(UnknownObjectError):
         applicable_rule(ars, pred)
-    for strategy in SplitStrategy:
+    for fold_states in (frozenset(), frozenset(range(ars.n))):
         with pytest.raises(UnknownObjectError):
-            premises(ars, pred, strategy)
+            premises(ars, pred, fold_states)
 
 
 class MembershipOnly(AbstractSet):
@@ -147,43 +169,41 @@ class MembershipOnly(AbstractSet):
 class TestPremises:
     def test_fold_sources_only_tested_with_in(self, a1):
         q = a1.ids_of(["c", "d"])
-        rule, kids = premises(a1, AprPredicate((1,), q), SplitStrategy.EAGER,
-                              fold_states=MembershipOnly([0]))
+        rule, kids = premises(a1, AprPredicate((1,), q), fold_states=MembershipOnly([0]))
         assert rule is RuleName.DER
         assert kids == [AprPredicate((0,), q), AprPredicate((2,), q)]
 
     def test_eager_der_splits_off_companion_singletons(self, a1):
         # In-proof context: the goal for {a} is already a companion.
         q = a1.ids_of(["c", "d"])
-        rule, kids = premises(a1, AprPredicate((1,), q), SplitStrategy.EAGER,
-                              fold_states={0})
+        rule, kids = premises(a1, AprPredicate((1,), q), fold_states={0})
         assert rule is RuleName.DER
         assert kids == [AprPredicate((0,), q), AprPredicate((2,), q)]
 
     def test_eager_der_without_companions_is_one_block(self, a1):
         q = a1.ids_of(["c", "d"])
-        rule, kids = premises(a1, AprPredicate((1,), q), SplitStrategy.EAGER)
+        rule, kids = premises(a1, AprPredicate((1,), q))
         assert rule is RuleName.DER
         assert kids == [AprPredicate((0, 2), q)]
 
     def test_subs_single_child(self, a1):
         q = a1.ids_of(["c", "d"])
-        for strategy in SplitStrategy:
-            rule, kids = premises(a1, AprPredicate((1, 3), q), strategy)
+        for fold_states in (frozenset(), frozenset(range(a1.n))):
+            rule, kids = premises(a1, AprPredicate((1, 3), q), fold_states)
             assert rule is RuleName.SUBS
             assert kids == [AprPredicate((1,), q)]
 
     def test_subs_empty_difference(self, a1):
         q = a1.ids_of(["c", "d"])
-        rule, kids = premises(a1, AprPredicate((2,), q), SplitStrategy.EAGER)
+        rule, kids = premises(a1, AprPredicate((2,), q))
         assert rule is RuleName.SUBS
         assert kids == [AprPredicate((), q)]
 
     def test_axiom_no_children(self, a1):
-        assert premises(a1, predicate((), (1,)), SplitStrategy.EAGER) == (RuleName.AXIOM, [])
+        assert premises(a1, predicate((), (1,))) == (RuleName.AXIOM, [])
 
     def test_dis_bottom_child(self, a1):
-        rule, kids = premises(a1, predicate((1, 3), (2,)), SplitStrategy.MONOLITHIC)
+        rule, kids = premises(a1, predicate((1, 3), (2,)))
         assert rule is RuleName.DIS
         assert kids == [BOTTOM]
 
@@ -192,8 +212,8 @@ class TestPremises:
         from reachproof import derivative
         ars, p, q = data
         pred = AprPredicate(p, q)
-        for strategy in SplitStrategy:
-            rule, kids = premises(ars, pred, strategy)
+        for fold_states in (frozenset(), frozenset(range(0, ars.n, 2)), frozenset(range(ars.n))):
+            rule, kids = premises(ars, pred, fold_states)
             assert all(k.target == q for k in kids if not k.is_bottom)
             union = set().union(*(set(k.source) for k in kids)) if kids else set()
             if rule is RuleName.SUBS:
@@ -203,7 +223,7 @@ class TestPremises:
                 assert all(k.source for k in kids)
 
 
-def reference_premises(ars, pred, strategy, fold_sources):
+def reference_premises(ars, pred, fold_sources):
     """`premises` as a loop over single states, with the fold test on
     companion source tuples: the result the set-at-a-time steps must equal."""
     (rule,) = applicable_rules(ars, pred)
@@ -219,8 +239,6 @@ def reference_premises(ars, pred, strategy, fold_sources):
     for s in p:
         succ_union.update(ars.succs[s])
     deriv = tuple(sorted(succ_union))
-    if strategy is SplitStrategy.MONOLITHIC:
-        return rule, [AprPredicate(deriv, q)]
     matched, rest = [], []
     for t in deriv:
         (matched if (t,) in fold_sources else rest).append(t)
@@ -265,15 +283,15 @@ def test_premises_matches_the_per_state_reference(case):
     fold_sources = {(t,) for t in fold} | set(others)
     # Companions with other than one source state never take part in a split.
     fold_states = set(fold) | {s[0] for s in others if len(s) == 1}
-    for strategy in SplitStrategy:
-        want = reference_premises(ars, pred, strategy, fold_sources)
+    for sources, states in ((set(), frozenset()), (fold_sources, fold_states)):
+        want = reference_premises(ars, pred, sources)
         assert want[0] is rule
         for target_set in (None, frozenset(pred.target)):
             assert applicable_rule(ars, pred, target_set) is rule
-            assert premises(ars, pred, strategy, fold_states, target_set) == want
+            assert premises(ars, pred, states, target_set) == want
         stop = frozenset(pred.target) | ars._nf
-        assert premises(ars, pred, strategy, fold_states, None, stop) == want
-        assert premises(ars, pred, strategy, MembershipOnly(fold_states), None, stop) == want
+        assert premises(ars, pred, states, None, stop) == want
+        assert premises(ars, pred, MembershipOnly(states), None, stop) == want
 
 
 class TestValidation:
@@ -332,6 +350,75 @@ class TestValidation:
         tree = DerivationTree(preds, rules, children, 0)
         report = validate_pre_proof(ars, PreProof(tree, {}))
         assert not any("union" in str(v) for v in report.violations)
+
+
+# One malformed pre-proof per message of `validate_pre_proof`, except the
+# four `TestValidation` names above: the worked pre-proof it is made from,
+# the changes, and the violation it must report.
+PRE_PROOF_FAULTS = [
+    ("proof", {"root": 9}, "root 9 out of range"),
+    ("proof", {"rules": {4: None}}, "node 4: children without a rule"),
+    ("proof", {"children": {5: (9,)}}, "node 5: child id 9 out of range"),
+    ("proof", {"children": {4: (5, 3)}}, "node 3: node has two parents"),
+    ("proof", {"children": {5: None}}, "node 5: rule without a children entry"),
+    ("proof", {"children": {5: (0,)}}, "node 0: root has a parent"),
+    ("proof", {"children": {5: (1,)}}, "node 1: cycle in tree structure"),
+    ("proof", {"extra": [AprPredicate((0,), Q)]}, "1 nodes unreachable from root"),
+    ("proof", {"preds": {5: BOTTOM}}, "node 5: rule applied to bottom"),
+    ("proof", {"preds": {5: BOTTOM}}, "node 5: bottom child outside Dis"),
+    ("proof", {"preds": {5: AprPredicate((), (2,))}},
+     "node 5: child target differs from parent target"),
+    ("proof", {"preds": {5: AprPredicate((2,), Q)}}, "node 5: Axiom with nonempty source"),
+    ("proof", {"extra": [AprPredicate((), Q)], "children": {5: (6,)}},
+     "node 5: Axiom with premises"),
+    ("proof", {"rules": {2: RuleName.SUBS}}, "node 2: Subs without source/target overlap"),
+    ("proof", {"children": {4: ()}}, "node 4: Subs needs at least one premise"),
+    ("proof", {"preds": {1: AprPredicate((0, 1, 3), Q)}},
+     "node 1: Subs children do not union to source minus target"),
+    ("proof", {"extra": [AprPredicate((), Q)], "children": {1: (2, 6)}},
+     "node 1: empty part in a split Subs"),
+    ("proof", {"rules": {1: RuleName.DER}}, "node 1: Der with source/target overlap"),
+    ("disproof", {"rules": {1: RuleName.DER}}, "node 1: Der on a non-runnable source"),
+    ("proof", {"children": {2: ()}}, "node 2: Der needs at least one premise"),
+    ("proof", {"extra": [AprPredicate((), Q)], "children": {2: (3, 4, 6)}},
+     "node 2: empty part in a Der split"),
+    ("proof", {"rules": {4: RuleName.DIS}}, "node 4: Dis side condition violated"),
+    ("disproof", {"extra": [BOTTOM], "children": {1: (2, 3)}},
+     "node 1: Dis premise must be the single bottom goal"),
+    ("proof", {"extra": [BOTTOM]}, "node 6: bottom node not introduced by Dis"),
+    ("proof", {"xi": {4: 0}}, "node 4: bud is not an open leaf"),
+    ("proof", {"xi": {3: 9}}, "node 3: companion must be a non-open node"),
+]
+
+
+@pytest.mark.parametrize("base, changes, message", PRE_PROOF_FAULTS,
+                         ids=[m for *_, m in PRE_PROOF_FAULTS])
+def test_validation_reports_each_fault(a1, base, changes, message):
+    report = validate_pre_proof(a1, edited(a1, base, changes))
+    assert message in [str(v) for v in report.violations]
+
+
+# One faulty proof graph per message of `graph_violations`, built as the
+# view of an edited worked pre-proof.
+GRAPH_FAULTS = [
+    ("proof", {"preds": {5: BOTTOM}}, "4->5: bottom reached by Subs"),
+    ("proof", {"preds": {5: AprPredicate((), (2,))}}, "4->5: target not preserved"),
+    ("proof", {"preds": {2: AprPredicate((0, 1), Q)}},
+     "1->2: Subs child escapes source minus target"),
+    ("proof", {"preds": {1: AprPredicate((1, 2, 3), Q)}},
+     "0->1: Der child state 2 has no predecessor"),
+    ("proof", {"preds": {0: AprPredicate((0, 2), Q)}},
+     "0: Der source state 2 has no successor in children"),
+    ("disproof", {"preds": {2: AprPredicate((), (2,))}}, "1: Dis does not point at bottom"),
+    ("proof", {"preds": {5: AprPredicate((2,), Q)}}, "5: Axiom with nonempty source"),
+    ("proof", {"rules": {4: RuleName.AXIOM}}, "4: Axiom with an outedge"),
+]
+
+
+@pytest.mark.parametrize("base, changes, message", GRAPH_FAULTS,
+                         ids=[m for *_, m in GRAPH_FAULTS])
+def test_graph_violations_reports_each_fault(a1, base, changes, message):
+    assert message in graph_violations(a1, ProofGraph(edited(a1, base, changes)))
 
 
 def assert_counts(g) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from reachproof import (
     AprPredicate,
     Ars,
     DerivationTree,
+    ExecutionPath,
+    FinitePath,
     NodeBudgetExceeded,
     ProverConfig,
     RuleName,
@@ -239,6 +242,19 @@ class TestWitnessChecks:
     def test_lasso_in_target_detected(self, a1):
         assert witness_violations(a1, predicate((0,), (1,)), Lasso((), (0, 1)))
 
+    @pytest.mark.parametrize("source, target, witness, problems", [
+        ((0,), (), FinitePath(ExecutionPath((0, 2))), ["no edge a -> c"]),
+        ((0,), (), FinitePath(ExecutionPath((0, 1))), ["maximal path ends at reducible b"]),
+        ((0,), (2,), FinitePath(ExecutionPath((1, 0, 3))),
+         ["path does not start in the source set"]),
+        ((0,), (2,), FinitePath(ExecutionPath((0, 1, 2))), ["path touches the target set"]),
+        ((0,), (2, 3), Lasso((), (1, 0)), ["lasso does not start in the source set"]),
+        ((0,), (), Lasso((), (0, 2)), ["no edge a -> c", "cycle does not close"]),
+        ((0,), (1,), Lasso((), (0, 1)), ["lasso touches the target set"]),
+    ])
+    def test_each_problem_is_named(self, a1, source, target, witness, problems):
+        assert witness_violations(a1, predicate(source, target), witness) == problems
+
 
 def _verdict_matches_oracle(ars, pred, cfg):
     vp = check_partial(ars, pred, cfg)
@@ -404,6 +420,12 @@ def test_pre_proofs_match_golden_digest(goal, strategy):
     assert (pp.tree.node_count, _digest(pp)) == GOLDEN_PROOFS[goal, strategy]
 
 
+def _recorded_repr(obj) -> str:
+    """`repr(obj)` in the text the golden witnesses were recorded from, in
+    which every `ExecutionPath` also printed its `is_maximal=True` flag."""
+    return re.sub(r"(ExecutionPath\(steps=\([^)]*\))\)", r"\1, is_maximal=True)", repr(obj))
+
+
 def _witness_digest(seed: int, count: int) -> tuple[dict[str, int], str]:
     """Every witness the oracle, both checks under both strategies, and
     `extract_lasso` give over a seeded corpus of random systems, hashed;
@@ -415,11 +437,11 @@ def _witness_digest(seed: int, count: int) -> tuple[dict[str, int], str]:
         ars = random_ars(rng, max_states=12)
         pred = AprPredicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
         answers = [oracle_partial(ars, pred), oracle_total(ars, pred)]
-        lines.extend(repr(a) for a in answers)
+        lines.extend(map(_recorded_repr, answers))
         for cfg in (EAGER, MONO):
             for check in (check_partial, check_total):
                 v = check(ars, pred, cfg)
-                lines.append(f"{v.kind} {v.witness!r} {v.acyclic}")
+                lines.append(f"{v.kind} {_recorded_repr(v.witness)} {v.acyclic}")
                 kinds[type(v.witness).__name__ if v.witness else "valid"] += 1
         try:
             lines.append(repr(extract_lasso(ars, pred)))
