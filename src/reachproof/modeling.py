@@ -34,7 +34,7 @@ import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import prod
 from typing import NamedTuple
 
@@ -585,25 +585,7 @@ def _valuation_count(model: Model) -> int:
     return prod(2 if v.is_bool else v.hi - v.lo + 1 for v in model.variables)
 
 
-def _layout(model: Model) -> tuple[list, tuple, tuple, dict, list[int]]:
-    """The model's fields, each an axis of (text and separator, location
-    or value) pairs sorted into label order (see `expand`), processes
-    first; then the location axes, the valuations in id order, the
-    valuation index, and the id step of each process's location digit."""
-    fields = [[(loc, loc) for loc in p.locations] for p in model.processes]
-    fields += [[(str(v).lower() if decl.is_bool else str(v), v) for v in decl.domain()]
-               for decl in model.variables]
-    seps = [","] * (len(fields) - 1) + [">"]
-    axes = [sorted((text + sep, v) for text, v in axis) for axis, sep in zip(fields, seps)]
-    n_procs = len(model.processes)
-    loc_axes = tuple(tuple(loc for _, loc in axis) for axis in axes[:n_procs])
-    valuations = tuple(itertools.product(*([v for _, v in axis] for axis in axes[n_procs:])))
-    vindex = {values: vi for vi, values in enumerate(valuations)}
-    weight = [prod(map(len, loc_axes[pi + 1:])) * len(valuations) for pi in range(n_procs)]
-    return axes, loc_axes, valuations, vindex, weight
-
-
-def _effects(model: Model, moves, loc_axes, valuations, vindex, weight) -> list[list[tuple]]:
+def _effects(model: Model, moves, loc_axes, valuations, weight) -> list[list[tuple]]:
     """The effect table of the model's edges, the one source of
     transitions of a `ModelSystem` and so of `expand`.
 
@@ -616,6 +598,7 @@ def _effects(model: Model, moves, loc_axes, valuations, vindex, weight) -> list[
     an edge fails has every other digit 0, so its id is `d * weight + vi`.
     """
     nv = len(valuations)
+    vindex = dict(zip(valuations, range(nv)))
     tables = []
     first_error = None
     for pi, (proc, by_src, axis, w) in enumerate(zip(model.processes, moves, loc_axes, weight)):
@@ -646,15 +629,8 @@ def _effects(model: Model, moves, loc_axes, valuations, vindex, weight) -> list[
 
 
 def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
-    """The whole table of `ModelSystem(model)`: its step mapped over every id.
-
-    Object order is lexicographic on the rendered state label
-    `<loc,...,loc,value,...,value>`, so identical model text always yields a
-    bit-identical system.  No field contains `,` or `>`, so that order is
-    the product of one order per field: its text followed by the separator
-    after it (`>` for the last field, so `10` sorts before `1`).  A state's
-    id is its mixed-radix number over those sorted fields, the variables
-    being the low-order digits.
+    """The whole table of `ModelSystem(model)`, whose docstring gives the
+    label and id order: its step mapped over every id, and `initial`.
 
     `max_states` caps the product of the domain sizes; an ill-typed
     assignment is reported before the cap, a domain error after it.
@@ -669,15 +645,7 @@ def expand(model: Model, max_states: int = DEFAULT_STATE_CAP) -> Expansion:
     # The step counts the states it explores, but `size` is within the cap.
     ars = Ars._from_table(labels, dict(zip(labels, range(size))),
                           tuple(map(system._step, range(size))))
-    weight = [w for w, _, _ in system._moves]
-    vindex = dict(zip(system.valuations, range(len(system.valuations))))
-    initial = canon(
-        sum(w * axis.index(loc) for w, axis, loc in zip(weight, system.loc_axes, locs))
-        + vindex[values]
-        for locs, values in itertools.product(
-            itertools.product(*(p.init_locations for p in model.processes)),
-            itertools.product(*(v.init_values for v in model.variables))))
-    return Expansion(ars, initial)
+    return Expansion(ars, system.initial)
 
 
 class ModelSystem(LazySystem):
@@ -686,13 +654,20 @@ class ModelSystem(LazySystem):
     query first reads them.  So a query costs what it reaches, not the
     product of the domain sizes.  `expand` maps the same step over every id.
 
+    Object order is lexicographic on the rendered state label
+    `<loc,...,loc,value,...,value>`, so identical model text always yields a
+    bit-identical system.  No field contains `,` or `>`, so that order is
+    the product of one order per field: its text followed by the separator
+    after it (`>` for the last field, so `10` sorts before `1`).  A state's
+    id is its mixed-radix number over those sorted fields, the variables
+    being the low-order digits.  Queries read them as `radix`: a digit per
+    process over its `loc_axes` entry, then one over the `valuations`.
+
     `max_states` caps the states whose successors are computed, the
     states a state predicate selects over it, and the number of
     valuations before their table is built.  Location names must be valid
     labels without `,` or `>` and distinct in their process, which makes
-    the labels distinct without building them.  The system carries the
-    layout `eval_state_predicate` reads: the model, each process's sorted
-    locations and the valuations in id order.
+    the labels distinct without building them.
     """
 
     def __init__(self, model: Model, max_states: int = DEFAULT_STATE_CAP):
@@ -702,17 +677,28 @@ class ModelSystem(LazySystem):
             raise StateLimitError(f"{nv} valuations of the variables exceed cap {max_states}")
         self.model = model
         self.max_states = max_states
-        axes, self.loc_axes, self.valuations, vindex, weight = _layout(model)
-        tables = _effects(model, moves, self.loc_axes, self.valuations, vindex, weight)
+        # Per field, processes first: its (text and separator, location or
+        # value) pairs, sorted into label order.
+        fields = [[(loc, loc) for loc in p.locations] for p in model.processes]
+        fields += [[(str(v).lower(), v) for v in decl.domain()] for decl in model.variables]
+        seps = [","] * (len(fields) - 1) + [">"]
+        axes = [sorted((text + sep, v) for text, v in axis) for axis, sep in zip(fields, seps)]
+        n_procs = len(model.processes)
+        self.loc_axes = tuple(tuple(loc for _, loc in axis) for axis in axes[:n_procs])
+        self.valuations = tuple(itertools.product(
+            *([v for _, v in axis] for axis in axes[n_procs:])))
+        self.radix = radix = (*map(len, self.loc_axes), len(self.valuations))
+        weight = [prod(radix[pi + 1:]) for pi in range(n_procs)]
+        tables = _effects(model, moves, self.loc_axes, self.valuations, weight)
         if not all(len(set(axis)) == len(axis) and all(
                 LABEL_RE.match(loc) and "," not in loc and ">" not in loc for loc in axis)
                 for axis in self.loc_axes):
             raise ModelError("location names do not make distinct valid state labels")
-        self._nv = nv = len(self.valuations)
-        self._moves = moves = tuple(zip(weight, map(len, self.loc_axes), tables))
+        # Per process: its digit's id step and radix, and its effect table.
+        self._effect_tables = effect_tables = tuple(zip(weight, radix, tables))
         # Per field: text -> digit, for label lookups.
         self._digits = tuple({text[:-1]: d for d, (text, _) in enumerate(axis)} for axis in axes)
-        n = prod(map(len, axes))
+        n, nv = prod(radix), radix[-1]
         # The table functions below close over data, not over `self`, so a
         # system is freed by reference counting, without a cycle.
         explored = 0
@@ -724,16 +710,15 @@ class ModelSystem(LazySystem):
             explored += 1
             vi = s % nv
             deltas = []
-            for w, radix, table in moves:
-                deltas += table[s // w % radix * nv + vi]
+            for w, r, table in effect_tables:
+                deltas += table[s // w % r * nv + vi]
             return tuple(map(s.__add__, sorted(set(deltas))))
 
         self._step = step
 
         # A label is a head, the text of the high fields, computed once per
-        # head, plus a tail from a table of every text of the low fields.
-        # The tail table grows to about sqrt(n) entries, at most
-        # TAIL_LABELS.
+        # head, plus a tail from a table of every text of the low fields,
+        # which grows to about sqrt(n) entries, at most TAIL_LABELS.
         cut, tail = len(axes), 1
         while cut and tail * tail < n and tail * len(axes[cut - 1]) <= TAIL_LABELS:
             cut -= 1
@@ -746,9 +731,20 @@ class ModelSystem(LazySystem):
     def is_normal_form(self, i: int) -> bool:
         # Read off the effect table, so that testing a state (as
         # `build_safety_query` tests every error state) does not explore it.
-        nv = self._nv
+        nv = self.radix[-1]
         vi = i % nv
-        return not any(table[i // w % radix * nv + vi] for w, radix, table in self._moves)
+        return not any(table[i // w % r * nv + vi] for w, r, table in self._effect_tables)
+
+    @cached_property
+    def initial(self) -> StateSet:
+        """Every combination of the fields' initial digits, built on first read."""
+        model = self.model
+        texts = [p.init_locations for p in model.processes]
+        texts += [[str(v).lower() for v in decl.init_values] for decl in model.variables]
+        ids = [0]
+        for field, digits in zip(texts, self._digits):
+            ids = [i * len(digits) + digits[text] for i in ids for text in field]
+        return canon(ids)
 
     def _find(self, label: str) -> int | None:
         fields = label[1:-1].split(",")
@@ -764,8 +760,7 @@ class ModelSystem(LazySystem):
 
 
 def _field_texts(axes) -> tuple[str, ...]:
-    """The texts of the fields `axes`, for every digit combination in id
-    order."""
+    """The texts of the fields `axes` at every digit combination, in id order."""
     texts = [""]
     for axis in axes:
         texts = [head + text for head in texts for text, _ in axis]
@@ -827,9 +822,8 @@ class _DigitWalk:
 
     def __init__(self, system: ModelSystem):
         self.system = system
-        self.radix = [len(axis) for axis in system.loc_axes] + [len(system.valuations)]
         # Ids per block of the digits from `level` on.
-        self.block = [prod(self.radix[level:]) for level in range(len(self.radix) + 1)]
+        self.block = [prod(system.radix[level:]) for level in range(len(system.radix) + 1)]
         self.level: list[int] = []
         self.truth: list[tuple[bool, ...]] = []
 
@@ -844,14 +838,12 @@ class _DigitWalk:
         operands = node[1:] if kind == "atom" else node[2:]
         kinds = [op[0] for op in operands]
         if "loc" in kinds:
-            proc, loc = operands if kinds[0] == "loc" else operands[::-1]
-            level = [p.name for p in system.model.processes].index(proc[1])
-            eq = node[1] == "="
-            truth = tuple((here == loc[1]) == eq for here in system.loc_axes[level])
+            level = [p.name for p in system.model.processes].index(operands[kinds.index("loc")][1])
+            # The test reads only the location of process `level`.
+            truth = tuple(test((here,) * (level + 1), ()) for here in system.loc_axes[level])
         elif "name" in kinds:
             level = len(system.loc_axes)
-            valuations = system.valuations
-            truth = tuple(map(test, itertools.repeat((), len(valuations)), valuations))
+            truth = tuple(map(test, itertools.repeat(()), system.valuations))
         else:
             return bool(test((), ()))  # literals only: reads no digit
         self.level.append(level)
@@ -898,7 +890,7 @@ class _DigitWalk:
         # (itself for every value when it does not read the digit).
         levels: list[dict] = []
         undecided = {root: None}
-        for level, radix in enumerate(self.radix[:-1]):
+        for level, radix in enumerate(self.system.radix[:-1]):
             split = {f: self._split(f, level) or (f,) * radix for f in undecided}
             levels.append(split)
             undecided = {g: None for kids in split.values() for g in kids
@@ -915,7 +907,7 @@ class _DigitWalk:
             if count[root] > cap:
                 raise StateLimitError(
                     f"state predicate selects {count[root]} states, more than cap {cap}")
-        valuations = range(self.radix[-1])
+        valuations = range(self.system.radix[-1])
         built = {f: tuple(itertools.compress(valuations, vector)) for f, vector in vectors.items()}
         for level in reversed(range(len(levels))):
             size = self.block[level + 1]

@@ -304,15 +304,20 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
             bad(v, "rule without a children entry")
     if t.root in parents:
         bad(t.root, "root has a parent")
-    seen = set()
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            bad(v, "cycle in tree structure")
+    # Depth first, keeping the path from the root: a child on it closes a
+    # cycle; a child seen off it has two parents, reported above.
+    seen = {t.root: True}  # node -> whether it is on the path
+    walk = [(t.root, iter(t.children.get(t.root, ())))]
+    while walk:
+        c = next(walk[-1][1], None)
+        if seen.get(c):
+            bad(c, "cycle in tree structure")
             break
-        seen.add(v)
-        stack.extend(c for c in t.children.get(v, ()) if 0 <= c < n)
+        if c is None:
+            seen[walk.pop()[0]] = False
+        elif 0 <= c < n and c not in seen:
+            seen[c] = True
+            walk.append((c, iter(t.children.get(c, ()))))
     if len(seen) != n and not out:
         bad(None, f"{n - len(seen)} nodes unreachable from root")
 
@@ -513,9 +518,11 @@ def graph_violations(ars: System, g: ProofGraph) -> list[str]:
     succ_edges: dict[int, list[int]] = {v: [] for v in g.vertices}
     for a, b in g.edges:
         succ_edges[a].append(b)
-    for v, rule in g.rules.items():
+    for v, kids in succ_edges.items():
+        rule = g.rules.get(v)
+        if rule is None:
+            continue
         pv = g.predicates[v]
-        kids = succ_edges[v]
         for w in kids:
             pw = g.predicates[w]
             if pw.is_bottom:

@@ -103,6 +103,7 @@ def assert_matches_reference(text: str) -> None:
     assert render_ars(got.ars) == render_ars(want_ars)
     assert_same_system(got.ars, want_ars)
     assert got.initial == want_initial
+    assert ModelSystem(model).initial == want_initial
 
 
 # ---------------------------------------------------------------------------

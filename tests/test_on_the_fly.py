@@ -37,7 +37,7 @@ from reachproof import (
     render_ars,
 )
 from reachproof import cli
-from reachproof.modeling import PETERSON_SOURCE
+from reachproof.modeling import PETERSON_SOURCE, StateLimitError
 from reachproof.prover import ProverConfig, check_partial, check_total
 
 from conftest import bench_checks, bench_workloads, semaphore_source
@@ -203,6 +203,7 @@ def test_system_reads_like_the_eager_table():
         assert [system.is_normal_form(i) for i in range(system.n)] == \
             [exp.ars.is_normal_form(i) for i in range(exp.ars.n)]
         assert [system.id_of(label) for label in exp.ars.labels] == list(range(exp.ars.n))
+        assert system.initial == exp.initial
         assert not system.has_label("<" + exp.ars.labels[0]) and not system.has_label("any")
         assert render_ars(exp.ars).startswith("states " + " ".join(system.labels))
         for table in (system.succs, system.labels):
@@ -231,3 +232,25 @@ def test_models_workload_passes_the_bench_checks(tmp_path, seed):
     problems = checks.Checker(reachproof).check_pass(plan.ops, outcomes, lambda i: None)
     assert [(op.name, p) for op, p in zip(plan.ops, problems) if p] == []
     assert sum(op.query is None for op in plan.ops) == 7
+
+
+def test_initial_states_of_the_bench_models_match_expand(tmp_path):
+    """Every model the benchmark's `models` workload generates, and
+    `peterson`: the system's initial states are those of `expand`."""
+    texts = list(bench_workloads().models(tmp_path, 1).files.values())
+    assert len(texts) == 6
+    for text in texts + [PETERSON_SOURCE]:
+        model = parse_model(text)
+        assert ModelSystem(model).initial == expand(model).initial, text
+
+
+def test_initial_states_need_no_expansion():
+    """Semaphore-12 has 1,062,882 states, above the default cap, so it
+    cannot be expanded; its system reads its initial state off the digits."""
+    model = parse_model(semaphore_source(12, None))
+    with pytest.raises(StateLimitError):
+        expand(model)
+    system = ModelSystem(model)
+    idle = " && ".join(f"loc(P{m})=idle{m}" for m in range(12)) + " && !lock"
+    assert system.initial == eval_state_predicate(system, idle)
+    assert len(system.initial) == 1 and not system.explored

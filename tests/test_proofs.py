@@ -398,6 +398,15 @@ def test_validation_reports_each_fault(a1, base, changes, message):
     assert message in [str(v) for v in report.violations]
 
 
+def test_second_parent_on_an_acyclic_tree_is_no_cycle(a1):
+    # Node 3 hangs under node 2 and under node 4 as well: two parents, but
+    # no node is its own ancestor.
+    messages = [str(v) for v in validate_pre_proof(
+        a1, edited(a1, "proof", {"children": {4: (5, 3)}})).violations]
+    assert "node 3: node has two parents" in messages
+    assert not any("cycle" in m for m in messages)
+
+
 # One faulty proof graph per message of `graph_violations`, built as the
 # view of an edited worked pre-proof.
 GRAPH_FAULTS = [
@@ -419,6 +428,15 @@ GRAPH_FAULTS = [
                          ids=[m for *_, m in GRAPH_FAULTS])
 def test_graph_violations_reports_each_fault(a1, base, changes, message):
     assert message in graph_violations(a1, ProofGraph(edited(a1, base, changes)))
+
+
+def test_graph_violations_skips_ruled_nodes_off_the_graph(a1):
+    # Node 6, an Axiom the root does not reach, is no vertex of the graph.
+    pp = edited(a1, "proof", {"extra": [AprPredicate((), Q)], "rules": {6: RuleName.AXIOM},
+                              "children": {6: ()}})
+    g = proof_graph(pp)
+    assert 6 not in g.vertices
+    assert graph_violations(a1, g) == []
 
 
 def assert_counts(g) -> None:
