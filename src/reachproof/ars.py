@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TextIO
 
 # Canonical state set: strictly increasing tuple of object ids.
 StateSet = tuple[int, ...]
@@ -462,15 +462,22 @@ def join_labels(labels: Sequence[str], ids: Sequence[int], sep: str) -> str:
     return labels[ids[0]] if ids else ""
 
 
-def render_ars(ars: Ars) -> str:
-    """Serialize `ars` in the line-based format (inverse of parse_ars).
+def render_ars(ars: Ars, out: TextIO | None = None) -> str | None:
+    """Serialize `ars` in the line-based format (inverse of parse_ars):
+    written to the text stream `out` line by line, or returned as one
+    string when `out` is None."""
+    if out is None:
+        return "".join(_ars_lines(ars))
+    out.writelines(_ars_lines(ars))
 
-    One string per edge, not one per object: joining an object's lines in
-    one call ran about a fifth faster on a 13k-object system, but those
-    strings of several hundred bytes fragment the heap, and repeated
-    exports peaked about 4 MB higher."""
-    lines = ["states " + " ".join(ars.labels)]
+
+def _ars_lines(ars: Ars) -> Iterator[str]:
+    """The lines of `render_ars`.  One string per edge, not one per object:
+    joining an object's lines in one call ran about a fifth faster on a
+    13k-object system, but those strings of several hundred bytes fragment
+    the heap, and repeated exports peaked about 4 MB higher."""
+    labels = ars.labels
+    yield "states " + " ".join(labels) + "\n"
     for src in range(ars.n):
         for dst in ars.succs[src]:
-            lines.append(f"trans {ars.labels[src]} {ars.labels[dst]}")
-    return "\n".join(lines) + "\n"
+            yield f"trans {labels[src]} {labels[dst]}\n"

@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -188,9 +189,8 @@ def _run_query(args, command: str, ars: System, pred: AprPredicate, mode: str,
 
 
 def _emit_proof(ars: System, verd: Verdict, path: str) -> None:
-    dot = to_dot(ars, verd.graph)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dot)
+        to_dot(ars, verd.graph, fh)
 
 
 def _emit_trace(ars: System, verd: Verdict, path: str) -> None:
@@ -284,14 +284,10 @@ def cmd_expand(args) -> int:
     if bool(args.model) == bool(args.builtin):
         raise UsageError("expand needs exactly one of --model, --builtin")
     expansion = expand(_load_model(args), max_states=args.max_states)
-    text = render_ars(expansion.ars)
     init = join_labels(expansion.ars.labels, expansion.initial, ",")
-    text += f"# initial: {init}\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        render_ars(expansion.ars, fh)
+        fh.write(f"# initial: {init}\n")
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
-from typing import AbstractSet, Callable, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator, TextIO
 
 from .ars import (
     ArsError,
@@ -29,7 +29,6 @@ from .ars import (
     System,
     canon,
     cyclic_sccs,
-    derivative,
     image,
     is_runnable,
     join_labels,
@@ -321,59 +320,67 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
     if len(seen) != n and not out:
         bad(None, f"{n - len(seen)} nodes unreachable from root")
 
-    # Rule instances.
+    # Rule instances.  No set is canonicalized again: each is range-checked
+    # at the ends of its sorted copy (one pass over a canonical tuple), and
+    # the target's set and check are made once per distinct target tuple.
+    def table_error(ids: StateSet) -> str | None:
+        ends = sorted(ids)
+        if ends and (ends[0] < 0 or ends[-1] >= ars.n):
+            try:
+                ars.check_members(ids)
+            except ArsError as exc:
+                return str(exc)
+        return None
+
+    target: StateSet | None = None
     for v, rule in t.rules.items():
         pred = t.preds[v]
         kids = t.children.get(v, ())
         if pred.is_bottom:
             bad(v, "rule applied to bottom")
             continue
-        try:
-            ars.check_members(pred.source)
-            ars.check_members(pred.target)
-        except ArsError as exc:
-            bad(v, str(exc))
+        if pred.target is not target:
+            target, q, target_error = pred.target, set(pred.target), table_error(pred.target)
+        src = pred.source
+        if error := table_error(src) or target_error:
+            bad(v, error)
             continue
-        p = set(pred.source)
-        q = set(pred.target)
         kid_preds = [t.preds[c] for c in kids if 0 <= c < n]
         if rule is not RuleName.DIS:
             for c, kp in zip(kids, kid_preds):
                 if kp.is_bottom:
                     bad(c, "bottom child outside Dis")
-                elif kp.target != pred.target:
+                elif kp.target != target:
                     bad(c, "child target differs from parent target")
         if rule is RuleName.AXIOM:
-            if p:
+            if src:
                 bad(v, "Axiom with nonempty source")
             if kids:
                 bad(v, "Axiom with premises")
         elif rule is RuleName.SUBS:
-            if not p & q:
+            if q.isdisjoint(src):
                 bad(v, "Subs without source/target overlap")
             if not kids:
                 bad(v, "Subs needs at least one premise")
             else:
-                union = set().union(*(set(kp.source) for kp in kid_preds))
-                if union != p - q:
+                if set().union(*(kp.source for kp in kid_preds)) != set(src) - q:
                     bad(v, "Subs children do not union to source minus target")
                 if len(kids) > 1 and any(not kp.source for kp in kid_preds):
                     bad(v, "empty part in a split Subs")
         elif rule is RuleName.DER:
-            if p & q:
+            if not q.isdisjoint(src):
                 bad(v, "Der with source/target overlap")
-            if not is_runnable(ars, pred.source):
+            if not src or not ars._nf.isdisjoint(src):
                 bad(v, "Der on a non-runnable source")
             if not kids:
                 bad(v, "Der needs at least one premise")
             else:
-                union = set().union(*(set(kp.source) for kp in kid_preds))
-                if union != set(derivative(ars, pred.source)):
+                if set().union(*(kp.source for kp in kid_preds)) != image(ars, src):
                     bad(v, "Der children do not union to the derivative")
                 if any(not kp.source for kp in kid_preds):
                     bad(v, "empty part in a Der split")
         elif rule is RuleName.DIS:
-            if p & q or not p or ars._nf.isdisjoint(p):
+            if not q.isdisjoint(src) or not src or ars._nf.isdisjoint(src):
                 bad(v, "Dis side condition violated")
             if len(kids) != 1 or not kid_preds or not kid_preds[0].is_bottom:
                 bad(v, "Dis premise must be the single bottom goal")
@@ -523,6 +530,7 @@ def graph_violations(ars: System, g: ProofGraph) -> list[str]:
         if rule is None:
             continue
         pv = g.predicates[v]
+        img = image(ars, pv.source) if rule is RuleName.DER else None
         for w in kids:
             pw = g.predicates[w]
             if pw.is_bottom:
@@ -534,16 +542,16 @@ def graph_violations(ars: System, g: ProofGraph) -> list[str]:
             if rule is RuleName.SUBS:
                 if not set(pw.source) <= set(pv.source) - set(pv.target):
                     problems.append(f"{v}->{w}: Subs child escapes source minus target")
-            if rule is RuleName.DER:
-                for t in pw.source:
-                    if not any(t in ars.succs[s] for s in pv.source):
-                        problems.append(f"{v}->{w}: Der child state {t} has no predecessor")
+            if rule is RuleName.DER and not img.issuperset(pw.source):
+                for t in filterfalse(img.__contains__, pw.source):
+                    problems.append(f"{v}->{w}: Der child state {t} has no predecessor")
         if rule is RuleName.DER:
-            child_states = set().union(
-                *(set(g.predicates[w].source) for w in kids)) if kids else set()
-            for s in pv.source:
-                if not set(ars.succs[s]) & child_states:
-                    problems.append(f"{v}: Der source state {s} has no successor in children")
+            # Runnable states whose successors all lie in the children pass.
+            child_states = set().union(*(g.predicates[w].source for w in kids))
+            if not child_states.issuperset(img) or not ars._nf.isdisjoint(pv.source):
+                for s in pv.source:
+                    if child_states.isdisjoint(ars.succs[s]):
+                        problems.append(f"{v}: Der source state {s} has no successor in children")
         if rule is RuleName.DIS:
             if not kids or any(not g.predicates[w].is_bottom for w in kids):
                 problems.append(f"{v}: Dis does not point at bottom")
@@ -555,20 +563,27 @@ def graph_violations(ars: System, g: ProofGraph) -> list[str]:
     return problems
 
 
-def to_dot(ars: System, g: ProofGraph) -> str:
-    """Render the proof graph as deterministic DOT (byte-for-byte stable)."""
+def to_dot(ars: System, g: ProofGraph, out: TextIO | None = None) -> str | None:
+    """Render the proof graph as deterministic DOT (byte-for-byte stable):
+    written to the text stream `out` line by line, or returned as one
+    string when `out` is None."""
+    if out is None:
+        return "".join(_dot_lines(ars, g))
+    out.writelines(_dot_lines(ars, g))
+
+
+def _dot_lines(ars: System, g: ProofGraph) -> Iterator[str]:
     order = {v: i for i, v in enumerate(g.vertices)}
     fmt = predicate_formatter(ars)
     preds, rules = g.predicates, g.rules
-    lines = ["digraph proof {"]
+    yield "digraph proof {\n"
     for i, v in enumerate(g.vertices):
         pred = preds[v]
         if pred.is_bottom:
-            lines.append(f'  n{i} [label="BOT", shape=doublecircle];')
+            yield f'  n{i} [label="BOT", shape=doublecircle];\n'
         else:
-            lines.append(f'  n{i} [label="{fmt(pred)}"];')
-    edge_label = {rule: f' [label="{rule.value}"];' for rule in RuleName}
+            yield f'  n{i} [label="{fmt(pred)}"];\n'
+    edge_label = {rule: f' [label="{rule.value}"];\n' for rule in RuleName}
     for a, b in g.edges:
-        lines.append(f"  n{order[a]} -> n{order[b]}" + edge_label[rules[a]])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  n{order[a]} -> n{order[b]}" + edge_label[rules[a]]
+    yield "}\n"

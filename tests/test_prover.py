@@ -29,6 +29,7 @@ from reachproof import (
     prove,
     validate_pre_proof,
 )
+from reachproof.proofs import graph_violations
 from reachproof.prover import Lasso, witness_violations
 
 from conftest import bench_workloads, random_ars, random_subset
@@ -354,6 +355,40 @@ def test_rings_workload_graphs_and_verdicts():
             assert (verdict.kind is holds) == oracle(ars, pred).valid, op.name
             seen.add(verdict.acyclic)
     assert seen == {True, False}
+
+
+def test_chains_far_goals_pass_every_checker():
+    """Every far goal of the benchmark's `chains` workload (seed 1: a
+    2,200-step spine per kind, both strategies, both modes) through the
+    independent checkers: the verdicts are the generator's and the
+    oracle's, the pre-proof validates, its proof graph has no structural
+    fault, and the witness is of the expected kind and re-validates.  Both
+    modes read one pre-proof: a total check is the partial one plus the
+    cycle test."""
+    plan = bench_workloads().chains(Path("chains"), 1)
+    far = {}
+    for op in plan.ops:
+        if re.fullmatch(r"\w+-far-(partial|total)", op.name):
+            far.setdefault(op.query.system, {})[op.query.mode] = op.query
+    assert len(far) == 3
+    for path, goals in far.items():
+        ars = parse_ars(plan.files[path])
+        q = goals["total"]
+        pred = AprPredicate(ars.ids_of(q.source), ars.ids_of(q.target))
+        for cfg in (EAGER, MONO):
+            name = f"{path} {cfg.strategy.value}"
+            verdict = check_total(ars, pred, cfg)
+            assert verdict.kind.value == q.verdict, name
+            assert (verdict.witness is None) == oracle_total(ars, pred).valid, name
+            partial = verdict.pre_proof.classification != "disproof"
+            assert partial == (goals["partial"].verdict == "PartiallyValid"), name
+            assert partial == oracle_partial(ars, pred).valid, name
+            assert validate_pre_proof(ars, verdict.pre_proof).ok, name
+            assert graph_violations(ars, verdict.graph) == [], name
+            kind = {None: type(None), "path": FinitePath, "lasso": Lasso}[q.witness]
+            assert isinstance(verdict.witness, kind), name
+            if q.witness is not None:
+                assert witness_violations(ars, pred, verdict.witness) == [], name
 
 
 def test_non_canonical_root_gives_the_canonical_proof(a1):

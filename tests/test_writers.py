@@ -10,6 +10,7 @@ bytes of the writers on large proofs of the benchmark's generators.
 
 import hashlib
 import io
+import tracemalloc
 import types
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -201,3 +202,43 @@ def test_scale_golden_semaphore_liveness_dot(tmp_path):
     """DOT of a racy semaphore-6 liveness proof over sets of model states."""
     op = _run_op(tmp_path, bench_workloads().models, "sem6-racy-liveness-dot")
     assert _sha256(op.dot) == "760803106d6ba73d875d779ad389e3674d0b5f131d3e0f2f129d69df5a4cac68"
+
+
+@pytest.mark.parametrize("name, writer", [("sem7-racy-liveness-dot", "to_dot"),
+                                          ("sem7-racy-expand", "render_ars")])
+def test_model_artifacts_are_written_as_they_are_rendered(tmp_path, monkeypatch, name, writer):
+    """`cli.main` streams a multi-MB DOT or `expand` file: while the writer
+    runs, the traced heap grows by less than a quarter of the file's size.
+    The writer's string form is the file's text."""
+    render = getattr(cli, writer)
+    calls = []
+
+    def measured(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = render(*args)
+        calls.append((args, tracemalloc.get_traced_memory()[1] - start))
+        return result
+
+    monkeypatch.setattr(cli, writer, measured)
+    tracemalloc.start()
+    try:
+        op = _run_op(tmp_path, bench_workloads().models, name)
+    finally:
+        tracemalloc.stop()
+    text = Path(op.dot or op.out).read_text(encoding="utf-8")
+    assert len(text) > 2_000_000
+    [(args, grown)] = calls
+    assert grown < len(text) / 4
+    tail = "" if writer == "to_dot" else text[text.rindex("# initial: "):]
+    assert render(*args[:-1]) + tail == text
+
+
+def test_expand_writes_the_same_bytes_to_stdout_and_out(tmp_path):
+    op = _run_op(tmp_path, bench_workloads().models, "sem7-racy-expand")
+    written = Path(op.out).read_bytes()
+    assert written.endswith(("\n# initial: " + ",".join(op.initial) + "\n").encode())
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert cli.main(op.argv[:op.argv.index("--out")]) == 0
+    assert stdout.getvalue().encode() == written
