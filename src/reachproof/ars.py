@@ -14,6 +14,7 @@ matches recurring goals.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -57,6 +58,7 @@ class System:
     """
 
     __slots__ = ()
+    _flat = False  # no flat table (see `der_image`): an `Ars` builds one
 
     def is_normal_form(self, i: int) -> bool:
         return i in self._nf
@@ -107,7 +109,7 @@ class Ars(System):
     set of objects with no outgoing edge.
     """
 
-    __slots__ = ("labels", "index", "succs", "normal_forms", "_nf", "n")
+    __slots__ = ("labels", "index", "succs", "normal_forms", "_nf", "n", "_flat")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -143,6 +145,7 @@ class Ars(System):
         self.n = len(labels)
         self.normal_forms: StateSet = tuple(i for i, s in enumerate(succs) if not s)
         self._nf = frozenset(self.normal_forms)
+        self._flat = None
 
     def _with_sink(self, label: str, feeders: StateSet, complement: bool) -> Ars:
         """Equal to rebuilding the system from all labels and edges, but the
@@ -277,9 +280,35 @@ def image(ars: System, p: Sequence[int]) -> set[int]:
     return set(chain.from_iterable(itemgetter(p[0], *p)(ars.succs)))
 
 
+def der_image(ars: System, p: StateSet) -> StateSet:
+    """The canonical successor set of the canonical set `p`: a ``Der`` step.
+    An `Ars` builds a flat table on the first call: each object's first
+    successor, the objects without exactly one successor (fan-out) and
+    those with several predecessors (fan-in).  A source without fan-out
+    then takes one `itemgetter` call; a set removes duplicates only when
+    the result holds fan-in.  Other sources read the successor tuples."""
+    flat = ars._flat
+    if flat is None:
+        succs = ars.succs
+        preds = Counter(chain.from_iterable(succs))
+        flat = ars._flat = (tuple([s[0] if s else -1 for s in succs]),
+                            frozenset([i for i, s in enumerate(succs) if len(s) != 1]),
+                            frozenset([t for t, k in preds.items() if k > 1]))
+    if flat:
+        first, fan_out, fan_in = flat
+        if fan_out.isdisjoint(p):
+            if len(p) > 1:
+                img = itemgetter(*p)(first)
+                if fan_in and not fan_in.isdisjoint(img):
+                    img = set(img)
+                return tuple(sorted(img))
+            return (first[p[0]],) if p else EMPTY
+    return tuple(sorted(image(ars, p)))
+
+
 def derivative(ars: System, p: Iterable[int]) -> StateSet:
     """One-step successor set of `p`."""
-    return tuple(sorted(image(ars, ars.check_members(p))))
+    return der_image(ars, ars.check_members(p))
 
 
 def is_runnable(ars: System, p: Iterable[int]) -> bool:

@@ -29,13 +29,14 @@ from .ars import (
     System,
     canon,
     cyclic_sccs,
+    der_image,
     image,
     is_runnable,
     join_labels,
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class AprPredicate:
     """An all-path reachability goal: source set => target set.
 
@@ -50,13 +51,16 @@ class AprPredicate:
     def __init__(self, source: StateSet, target: StateSet, is_bottom: bool = False) -> None:
         if is_bottom and (source or target):
             raise ValueError("bottom predicate must carry empty sets")
-        # A proof makes one predicate per node, so the fields are stored in
-        # the instance dict directly, not by one `object.__setattr__` call
-        # each as a generated frozen `__init__` does.
-        fields = self.__dict__
-        fields["source"] = source
-        fields["target"] = target
-        fields["is_bottom"] = is_bottom
+        # A proof makes one predicate per node: each slot is set through its
+        # own descriptor, with no name lookup as in `object.__setattr__`.
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_bottom(self, is_bottom)
+
+
+_set_source = AprPredicate.source.__set__
+_set_target = AprPredicate.target.__set__
+_set_bottom = AprPredicate.is_bottom.__set__
 
 
 BOTTOM = AprPredicate((), (), is_bottom=True)
@@ -181,7 +185,7 @@ def premises(
             return _SUBS, [AprPredicate(tuple(filterfalse(target_set.__contains__, p)), q)]
         if not ars._nf.isdisjoint(p):
             return _DIS, [BOTTOM]
-    deriv = tuple(sorted(image(ars, p)))
+    deriv = der_image(ars, p)
     if fold_states and not fold_states.isdisjoint(deriv):
         folded = tuple(filter(fold_states.__contains__, deriv))
         parts = [AprPredicate((t,), q) for t in folded]
@@ -345,9 +349,10 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
         if error := table_error(src) or target_error:
             bad(v, error)
             continue
-        kid_preds = [t.preds[c] for c in kids if 0 <= c < n]
+        in_range = [c for c in kids if 0 <= c < n]
+        kid_preds = [t.preds[c] for c in in_range]
         if rule is not RuleName.DIS:
-            for c, kp in zip(kids, kid_preds):
+            for c, kp in zip(in_range, kid_preds):
                 if kp.is_bottom:
                     bad(c, "bottom child outside Dis")
                 elif kp.target != target:
@@ -492,7 +497,10 @@ def is_acyclic(g: ProofGraph) -> bool:
     vertices: each is entered from its nearest such proper ancestor, and
     a bud's parent leads to the bud's companion.
     """
-    xi, parents = g.pre_proof.xi, g._parents
+    xi = g.pre_proof.xi
+    if not xi:  # a tree: no parent map is built
+        return True
+    parents = g._parents
     succs: dict[int, list[int]] = {c: [] for c in xi.values()}
     for b, c in xi.items():
         succs.setdefault(parents[b], []).append(c)

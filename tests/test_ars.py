@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reachproof import (
@@ -22,7 +22,9 @@ from reachproof.ars import (
     bfs,
     bfs_path,
     cyclic_sccs,
+    der_image,
     execution_path_violations,
+    image,
     region_succs,
 )
 
@@ -181,6 +183,31 @@ def test_derivative_distributes_over_union(data):
     union = canon(set(p) | set(q))
     expected = canon(set(derivative(ars, p)) | set(derivative(ars, q)))
     assert derivative(ars, union) == expected
+
+
+@st.composite
+def flat_table_cases(draw, max_states=30):
+    """A system whose objects mostly have one successor, the others none or
+    several (fan-out), with fan-in where successors coincide; sometimes
+    with a sink.  Then canonical sources drawn from it."""
+    n = draw(st.integers(1, max_states))
+    degree = st.sampled_from((1, 1, 1, 1, 0, 2, 3))
+    edges = [(s, draw(st.integers(0, n - 1))) for s in range(n) for _ in range(draw(degree))]
+    ars = Ars([f"s{i}" for i in range(n)], edges)
+    if draw(st.booleans()):
+        ars = ars.with_sink("sink", draw(st.lists(st.integers(0, n - 1))), draw(st.booleans()))
+    sources = st.lists(st.integers(0, ars.n - 1), max_size=ars.n).map(canon)
+    return ars, draw(st.lists(sources, min_size=1, max_size=4))
+
+
+@given(flat_table_cases())
+@example((Ars(["a", "b", "c"], [(0, 2), (1, 2)]), [(0, 1), (0,), ()]))  # fan-in
+@example((Ars(["a", "b", "c"], [(0, 1), (0, 2), (1, 2)]), [(0, 1), (1,)]))  # fan-out
+def test_der_image_is_the_sorted_image_of_the_successor_tuples(case):
+    ars, sources = case
+    for p in sources:  # the first call builds the flat table, the others read it
+        assert der_image(ars, p) == tuple(sorted(image(ars, p)))
+        assert der_image(ars, p) == canon(t for s in p for t in ars.succs[s])
 
 
 @given(ars_and_sets())

@@ -398,6 +398,17 @@ def test_validation_reports_each_fault(a1, base, changes, message):
     assert message in [str(v) for v in report.violations]
 
 
+def test_child_fault_names_its_own_child_past_an_out_of_range_id(a1):
+    # The out-of-range id 9 comes first; node 4's fault must not be
+    # reported for node 3, its neighbour in the children tuple.
+    messages = [str(v) for v in validate_pre_proof(a1, edited(
+        a1, "proof", {"children": {2: (9, 3, 4)}, "preds": {4: AprPredicate((2,), (2,))}}
+    )).violations]
+    assert "node 2: child id 9 out of range" in messages
+    assert "node 4: child target differs from parent target" in messages
+    assert not any(m.startswith("node 3:") for m in messages)
+
+
 def test_second_parent_on_an_acyclic_tree_is_no_cycle(a1):
     # Node 3 hangs under node 2 and under node 4 as well: two parents, but
     # no node is its own ancestor.

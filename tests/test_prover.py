@@ -16,6 +16,7 @@ from reachproof import (
     RuleName,
     SplitStrategy,
     VerdictKind,
+    canon,
     check_partial,
     check_total,
     extract_finite_counterexample,
@@ -29,8 +30,10 @@ from reachproof import (
     prove,
     validate_pre_proof,
 )
+from reachproof import prover
 from reachproof.proofs import graph_violations
 from reachproof.prover import Lasso, witness_violations
+from reachproof.reductions import build_safety_query
 
 from conftest import bench_workloads, random_ars, random_subset
 
@@ -389,6 +392,74 @@ def test_chains_far_goals_pass_every_checker():
             assert isinstance(verdict.witness, kind), name
             if q.witness is not None:
                 assert witness_violations(ars, pred, verdict.witness) == [], name
+
+
+def _mixed_system(rng: random.Random, n: int) -> Ars:
+    """A spine s -> s+1 with, at rates drawn per system, stuck states,
+    self-loops, jumps anywhere (fan-in where they land, cycles when they
+    lead back) and extra successors (fan-out); about a third get a sink."""
+    stuck, loop, jump, fan = (rng.choice(rates) for rates in
+                              ((0, 0.02), (0, 0.03), (0, 0.03, 0.1), (0.05, 0.15)))
+    edges = []
+    for s in range(n - 1):
+        r = rng.random()
+        if r < stuck:
+            continue
+        if r < stuck + loop:
+            edges.append((s, s))
+        edges.append((s, rng.randrange(n) if rng.random() < jump else s + 1))
+        if rng.random() < fan:
+            edges += [(s, rng.randrange(n)) for _ in range(rng.randint(1, 2))]
+    ars = Ars([f"s{i}" for i in range(n)], edges)
+    if rng.random() < 0.3:
+        ars = ars.with_sink("sink", rng.sample(range(n), 8), complement=rng.random() < 0.2)
+    return ars
+
+
+def test_differential_at_200_states():
+    """Random systems of 120-200 states, some as safety queries, under both
+    strategies: every pre-proof validates and holds canonical goals, its
+    graph has no structural fault, both verdicts are the oracle's and every
+    witness re-validates."""
+    rng = random.Random(2021)
+    kinds = set()
+    for _ in range(60):
+        ars = _mixed_system(rng, rng.randint(120, 200))
+        source = canon(rng.sample(range(ars.n), rng.randint(1, 4)))
+        target = {ars.n - 1, *rng.sample(range(ars.n), rng.randint(1, 6))}
+        if rng.random() < 0.6:
+            target.update(ars.normal_forms)
+        pred = AprPredicate(source, canon(target))
+        if rng.random() < 0.2:
+            ars, pred = build_safety_query(ars, source, ars.normal_forms[:3] or (0,))
+        for cfg in (EAGER, MONO):
+            verdict = check_total(ars, pred, cfg)
+            pp = verdict.pre_proof
+            assert (pp.classification != "disproof") == oracle_partial(ars, pred).valid
+            assert (verdict.witness is None) == oracle_total(ars, pred).valid
+            assert validate_pre_proof(ars, pp).ok
+            assert all(p.source == canon(p.source) for p in pp.tree.preds)
+            assert graph_violations(ars, verdict.graph) == []
+            if verdict.witness is not None:
+                assert witness_violations(ars, pred, verdict.witness) == []
+            kinds.add(type(verdict.witness).__name__)
+    assert kinds == {"NoneType", "FinitePath", "Lasso"}
+
+
+def test_prove_steps_each_ruled_node_through_prover_premises(a1, monkeypatch):
+    """`prove` looks up `prover.premises` for each goal it rules, where the
+    benchmark's tracer wraps it: exactly one call per ruled node, in order."""
+    calls = []
+    step = prover.premises
+    monkeypatch.setattr(prover, "premises",
+                        lambda ars, pred, *rest: calls.append(pred) or step(ars, pred, *rest))
+    ring, ring_pred = _ring_goal()
+    for ars, pred in ((a1, predicate((0,), (2, 3))), (a1, predicate((0,), (2,))), (ring, ring_pred)):
+        for cfg in (EAGER, MONO):
+            calls.clear()
+            t = prove(ars, pred, cfg).tree
+            assert len(calls) == len(t.rules)
+            assert calls == [t.preds[v] for v in t.rules]
 
 
 def test_non_canonical_root_gives_the_canonical_proof(a1):
