@@ -283,25 +283,22 @@ def image(ars: System, p: Sequence[int]) -> set[int]:
 def der_image(ars: System, p: StateSet) -> StateSet:
     """The canonical successor set of the canonical set `p`: a ``Der`` step.
     An `Ars` builds a flat table on the first call: each object's first
-    successor, the objects without exactly one successor (fan-out) and
-    those with several predecessors (fan-in).  A source without fan-out
-    then takes one `itemgetter` call; a set removes duplicates only when
-    the result holds fan-in.  Other sources read the successor tuples."""
+    successor, and the objects off the table, which have not exactly one
+    successor or share it with another object.  A source with no object
+    off the table then takes one `itemgetter` gather, distinct by
+    construction, and a sort.  Other sources read the successor tuples."""
     flat = ars._flat
     if flat is None:
         succs = ars.succs
         preds = Counter(chain.from_iterable(succs))
         flat = ars._flat = (tuple([s[0] if s else -1 for s in succs]),
-                            frozenset([i for i, s in enumerate(succs) if len(s) != 1]),
-                            frozenset([t for t, k in preds.items() if k > 1]))
+                            frozenset([i for i, s in enumerate(succs)
+                                       if len(s) != 1 or preds[s[0]] > 1]))
     if flat:
-        first, fan_out, fan_in = flat
-        if fan_out.isdisjoint(p):
+        first, shared = flat
+        if shared.isdisjoint(p):  # distinct objects, distinct successors
             if len(p) > 1:
-                img = itemgetter(*p)(first)
-                if fan_in and not fan_in.isdisjoint(img):
-                    img = set(img)
-                return tuple(sorted(img))
+                return tuple(sorted(itemgetter(*p)(first)))
             return (first[p[0]],) if p else EMPTY
     return tuple(sorted(image(ars, p)))
 

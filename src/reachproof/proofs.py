@@ -497,10 +497,7 @@ def is_acyclic(g: ProofGraph) -> bool:
     vertices: each is entered from its nearest such proper ancestor, and
     a bud's parent leads to the bud's companion.
     """
-    xi = g.pre_proof.xi
-    if not xi:  # a tree: no parent map is built
-        return True
-    parents = g._parents
+    xi, parents = g.pre_proof.xi, g._parents
     succs: dict[int, list[int]] = {c: [] for c in xi.values()}
     for b, c in xi.items():
         succs.setdefault(parents[b], []).append(c)

@@ -153,7 +153,7 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
     der, dis = RuleName.DER, RuleName.DIS
     queue = [0]
 
-    for v in queue:  # grows while walked: a FIFO queue of open goals
+    for done, v in enumerate(queue):  # grows while walked: a FIFO queue of open goals
         pv = preds[v]
         source = pv.source
         comp = companions.setdefault(source, v)
@@ -162,29 +162,23 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
             continue
         rule, kid_preds = premises(ars, pv, folds, target_set, stop)
         rules[v] = rule
-        if rule is der:
-            if len(source) == 1:
-                fold_states.add(source[0])
-        else:
-            del companions[source]
         w = len(preds)
-        if len(kid_preds) == 1 and w < budget:  # the common single child
-            preds += kid_preds
-            children[v] = (w,)
-            if rule is not dis:  # the bottom child of Dis is closed
-                queue.append(w)
-            continue
         if w + len(kid_preds) > budget:
             made = kid_preds[:budget - w]
             preds += made  # the nodes made up to the cap, as the message counts them
             raise NodeBudgetExceeded(
                 f"node budget {budget} exceeded: {len(preds)} nodes made, "
-                f"{len(queue) - queue.index(v) + len(made)} goals open, largest source set "
+                f"{len(queue) - done + len(made)} goals open, largest source set "
                 f"{max(len(p.source) for p in preds)} states")
         preds += kid_preds
-        kids = range(w, len(preds))
-        children[v] = tuple(kids)
-        queue += kids  # a split Der or an Axiom: every child is an open goal
+        children[v] = kids = (w,) if len(kid_preds) == 1 else tuple(range(w, len(preds)))
+        if rule is der:
+            if len(source) == 1:
+                fold_states.add(source[0])
+        else:
+            del companions[source]
+        if rule is not dis:  # the bottom child of Dis is closed
+            queue += kids
 
     return PreProof(DerivationTree(preds, rules, children, 0), xi)
 

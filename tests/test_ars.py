@@ -201,6 +201,7 @@ def flat_table_cases(draw, max_states=30):
 
 
 @given(flat_table_cases())
+@example((Ars(["a", "b", "c", "d"], [(0, 3), (1, 2)]), [(0, 1), (1,), ()]))  # on the table
 @example((Ars(["a", "b", "c"], [(0, 2), (1, 2)]), [(0, 1), (0,), ()]))  # fan-in
 @example((Ars(["a", "b", "c"], [(0, 1), (0, 2), (1, 2)]), [(0, 1), (1,)]))  # fan-out
 def test_der_image_is_the_sorted_image_of_the_successor_tuples(case):
