@@ -41,7 +41,6 @@ from .proofs import (
     ProofGraph,
     RuleName,
     ValidationReport,
-    applicable_rule,
     is_acyclic,
     predicate,
     premises,

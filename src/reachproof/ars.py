@@ -334,7 +334,8 @@ def bfs(ars: System, seeds: Iterable[int], avoid: Iterable[int] = ()) -> dict[in
 
 
 def bfs_path(parent: dict[int, int | None], v: int) -> tuple[int, ...]:
-    """The tree path from a seed of `parent` (a `bfs` result) to `v`."""
+    """The tree path from a seed of `parent` (a `bfs` result, or a
+    `DerivationTree.parents`) to `v`."""
     path = [v]
     while (u := parent[path[-1]]) is not None:
         path.append(u)

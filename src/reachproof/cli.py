@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         if spec.mode is None:
             sp.add_argument("--mode", choices=["partial", "total"], default="partial")
         sp.add_argument("--engine", choices=["prover", "oracle"], default="prover")
-        sp.add_argument("--strategy", choices=["eager", "monolithic"], default="eager")
+        sp.add_argument("--strategy", choices=[s.value for s in SplitStrategy],
+                        default=SplitStrategy.EAGER.value)
         sp.add_argument("--emit-proof", metavar="PATH", help="write the proof graph as DOT")
         sp.add_argument("--emit-trace", metavar="PATH",
                         help="write the pre-proof as an indented trace")

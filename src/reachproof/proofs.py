@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
+from operator import lt
 from typing import AbstractSet, Callable, Iterable, Iterator, TextIO
 
 from .ars import (
@@ -71,15 +72,12 @@ def predicate(source: Iterable[int], target: Iterable[int]) -> AprPredicate:
     return AprPredicate(canon(source), canon(target))
 
 
-def format_predicate(ars: System, pred: AprPredicate) -> str:
-    return predicate_formatter(ars)(pred)
-
-
 def predicate_formatter(ars: System) -> Callable[[AprPredicate], str]:
-    """`format_predicate` for the many goals of one output.  The goals of a
-    proof share the root's target tuple, so the rendered target is kept
-    until a goal brings another tuple: once per output, not once per goal.
-    A set's labels are gathered in one call; no rendered source is kept."""
+    """Render goals as `{a,b} => {c}`, or `BOT`, for the many goals of one
+    output.  The goals of a proof share the root's target tuple, so the
+    rendered target is kept until a goal brings another tuple: once per
+    output, not once per goal.  A set's labels are gathered in one call;
+    no rendered source is kept."""
     labels = ars.labels
     target: StateSet | None = None
     tail = ""
@@ -126,13 +124,6 @@ def applicable_rules(ars: System, pred: AprPredicate) -> list[RuleName]:
     if not p & q and p and not ars._nf.isdisjoint(p):
         rules.append(RuleName.DIS)
     return rules
-
-
-def applicable_rule(ars: System, pred: AprPredicate,
-                    target_set: AbstractSet[int] | None = None) -> RuleName:
-    """The unique rule applicable to a canonical non-bottom goal: the rule
-    of the step `premises` takes on it (test surface)."""
-    return premises(ars, pred, frozenset(), target_set)[0]
 
 
 def premises(
@@ -215,9 +206,10 @@ class DerivationTree:
     def node_count(self) -> int:
         return len(self.preds)
 
-    def open_leaves(self) -> list[int]:
-        return [v for v, p in enumerate(self.preds)
-                if v not in self.children and not p.is_bottom]
+    def open_leaves(self) -> set[int]:
+        preds = self.preds
+        leaves = set(range(len(preds))).difference(self.children)
+        return {v for v in leaves if not preds[v].is_bottom}
 
     def preorder(self) -> Iterator[int]:
         stack = [self.root] if self.preds else []
@@ -226,8 +218,14 @@ class DerivationTree:
             yield v
             stack.extend(reversed(self.children.get(v, ())))
 
-    def parent_map(self) -> dict[int, int]:
-        return {c: v for v, kids in self.children.items() for c in kids}
+    @cached_property
+    def parents(self) -> dict[int, int | None]:
+        """Each child's parent, and None for the root.  Built on first read,
+        so all readers share one inversion of `children`; the tree must not
+        change after that read."""
+        parents: dict[int, int | None] = {c: v for v, kids in self.children.items() for c in kids}
+        parents[self.root] = None
+        return parents
 
 
 @dataclass
@@ -272,13 +270,18 @@ class ValidationReport:
         return not self.violations
 
 
+def _increasing(ids: StateSet) -> bool:
+    """Whether `ids` is canonical: bud matching compares tuples."""
+    return all(map(lt, ids, ids[1:]))
+
+
 def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
     """Check every rule instance and bud condition; never raises.
 
     A valid report confirms: the tree is a tree, each ruled node is an
-    instance of its rule with the exact side conditions, bottom occurs only
-    under ``Dis``, and every bud points at a ``Der`` node with the identical
-    predicate.
+    instance of its rule with the exact side conditions on canonical
+    (strictly increasing) sets, bottom occurs only under ``Dis``, and every
+    bud points at a ``Der`` node with the identical predicate.
     """
     t = pp.tree
     n = len(t.preds)
@@ -324,12 +327,13 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
     if len(seen) != n and not out:
         bad(None, f"{n - len(seen)} nodes unreachable from root")
 
-    # Rule instances.  No set is canonicalized again: each is range-checked
-    # at the ends of its sorted copy (one pass over a canonical tuple), and
-    # the target's set and check are made once per distinct target tuple.
+    # Rule instances.  No set is canonicalized again: each must be strictly
+    # increasing, so it is range-checked at its ends, and the target's set
+    # and check are made once per distinct target tuple.
     def table_error(ids: StateSet) -> str | None:
-        ends = sorted(ids)
-        if ends and (ends[0] < 0 or ends[-1] >= ars.n):
+        if not _increasing(ids):
+            return "source or target not strictly increasing"
+        if ids and (ids[0] < 0 or ids[-1] >= ars.n):
             try:
                 ars.check_members(ids)
             except ArsError as exc:
@@ -398,7 +402,7 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
                 bad(v, "bottom node not introduced by Dis")
 
     # Buds.
-    open_leaves = set(t.open_leaves())
+    open_leaves = t.open_leaves()
     for v, comp in pp.xi.items():
         if v not in open_leaves:
             bad(v, "bud is not an open leaf")
@@ -450,7 +454,7 @@ class ProofGraph:
         # into a parallel edge: those are all children of a bud's parent.
         t, xi = self.pre_proof.tree, self.pre_proof.xi
         merged = 0
-        for v in {self._parents[b] for b in xi}:
+        for v in {t.parents[b] for b in xi}:
             kids = t.children[v]
             merged += len(kids) - len({xi.get(c, c) for c in kids})
         return sum(map(len, t.children.values())) - merged
@@ -466,21 +470,13 @@ class ProofGraph:
         return tuple(dict.fromkeys((v, xi.get(c, c))
                                    for v in self.vertices for c in children.get(v, ())))
 
-    @cached_property
-    def _parents(self) -> dict[int, int]:
-        return self.pre_proof.tree.parent_map()
-
 
 def proof_graph(pp: PreProof) -> ProofGraph:
     """The proof graph of a closed pre-proof (deterministic order).
 
-    Its buds must be its open leaves: every node without a children entry
-    is a bud or bottom, and no bud has one.
+    Its buds must be exactly its open leaves.
     """
-    t = pp.tree
-    leaves = set(range(t.node_count)).difference(t.children, pp.xi)
-    if (any(not t.preds[v].is_bottom for v in leaves)
-            or not t.children.keys().isdisjoint(pp.xi)):
+    if pp.xi.keys() != pp.tree.open_leaves():
         raise ValueError("proof graph requires a closed pre-proof")
     return ProofGraph(pp)
 
@@ -497,7 +493,7 @@ def is_acyclic(g: ProofGraph) -> bool:
     vertices: each is entered from its nearest such proper ancestor, and
     a bud's parent leads to the bud's companion.
     """
-    xi, parents = g.pre_proof.xi, g._parents
+    xi, parents = g.pre_proof.xi, g.pre_proof.tree.parents
     succs: dict[int, list[int]] = {c: [] for c in xi.values()}
     for b, c in xi.items():
         succs.setdefault(parents[b], []).append(c)
@@ -519,12 +515,12 @@ def is_acyclic(g: ProofGraph) -> bool:
 def graph_violations(ars: System, g: ProofGraph) -> list[str]:
     """Check the structural facts every proof graph must satisfy.
 
-    Per-vertex checks: edges into non-bottom vertices preserve the target;
-    a ``Subs`` child source is contained in the parent's source minus
-    target; every source state of a ``Der`` vertex has a successor in some
-    child and every child state has a predecessor in the parent; ``Dis``
-    points only at bottom; ``Axiom`` vertices have empty source and no
-    outedge.
+    Per-vertex checks: sources and targets are strictly increasing; edges
+    into non-bottom vertices preserve the target; a ``Subs`` child source
+    is contained in the parent's source minus target; every source state
+    of a ``Der`` vertex has a successor in some child and every child state
+    has a predecessor in the parent; ``Dis`` points only at bottom;
+    ``Axiom`` vertices have empty source and no outedge.
     """
     problems = []
     succ_edges: dict[int, list[int]] = {v: [] for v in g.vertices}
@@ -535,6 +531,8 @@ def graph_violations(ars: System, g: ProofGraph) -> list[str]:
         if rule is None:
             continue
         pv = g.predicates[v]
+        if not (_increasing(pv.source) and _increasing(pv.target)):
+            problems.append(f"{v}: source or target not strictly increasing")
         img = image(ars, pv.source) if rule is RuleName.DER else None
         for w in kids:
             pw = g.predicates[w]

@@ -235,13 +235,11 @@ def extract_finite_counterexample(ars: System, disproof: PreProof) -> ExecutionP
     node = min((v for v, r in t.rules.items() if r is RuleName.DIS), default=None)
     if node is None:
         raise ValueError("pre-proof contains no Dis node")
-    parents = t.parent_map()
     chain = [next(s for s in t.preds[node].source if s in ars._nf)]
-    while node != t.root:
-        node = parents[node]
-        if t.rules[node] is RuleName.DER:
+    for v in reversed(bfs_path(t.parents, node)[:-1]):
+        if t.rules[v] is RuleName.DER:
             cur = chain[-1]
-            pred_state = next(s for s in t.preds[node].source if cur in ars.succs[s])
+            pred_state = next(s for s in t.preds[v].source if cur in ars.succs[s])
             if pred_state != cur:
                 chain.append(pred_state)
         # Subs: the chosen state survives the subtraction unchanged.

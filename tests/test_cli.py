@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reachproof import cli
+from reachproof import ProverConfig, SplitStrategy, cli
 from reachproof.cli import main, report_from_json, report_to_json
 
 from conftest import A1_TEXT, semaphore_source
@@ -557,6 +557,14 @@ def test_reused_parser_answers_like_a_fresh_one(capsys, tmp_path, a1_file):
         fresh.append(_query_output(capsys, tmp_path, a1_file, argv))
     assert reused == fresh
     assert [out.split("\n", 1)[0] for out in reused[1::2]] == ["2"] * len(GOLDEN_QUERIES)
+
+
+def test_strategy_choices_are_the_enum_values():
+    (queries,) = [a for a in cli.build_parser()._actions if a.dest == "cmd"]
+    for name in cli.QUERIES:
+        (flag,) = [a for a in queries.choices[name]._actions if a.dest == "strategy"]
+        assert flag.choices == [s.value for s in SplitStrategy]
+        assert flag.default == ProverConfig().strategy.value
 
 
 # Random inputs for the robustness test.  Models and systems are drawn

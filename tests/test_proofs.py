@@ -16,7 +16,6 @@ from reachproof import (
     ProverConfig,
     RuleName,
     SplitStrategy,
-    applicable_rule,
     canon,
     is_acyclic,
     predicate,
@@ -28,7 +27,6 @@ from reachproof import (
 )
 from reachproof.proofs import (
     applicable_rules,
-    format_predicate,
     graph_violations,
     predicate_formatter,
 )
@@ -102,20 +100,20 @@ class TestPredicate:
 
 class TestApplicableRule:
     def test_der_on_example(self, a1):
-        assert applicable_rule(a1, predicate((0,), (2, 3))) is RuleName.DER
+        assert premises(a1, predicate((0,), (2, 3)))[0] is RuleName.DER
 
     def test_axiom_on_empty_source(self, a1):
-        assert applicable_rule(a1, predicate((), (1,))) is RuleName.AXIOM
+        assert premises(a1, predicate((), (1,)))[0] is RuleName.AXIOM
 
     def test_dis_on_stuck_source(self, a1):
-        assert applicable_rule(a1, predicate((1, 3), (2,))) is RuleName.DIS
+        assert premises(a1, predicate((1, 3), (2,)))[0] is RuleName.DIS
 
     def test_subs_on_overlap(self, a1):
-        assert applicable_rule(a1, predicate((1, 3), (2, 3))) is RuleName.SUBS
+        assert premises(a1, predicate((1, 3), (2, 3)))[0] is RuleName.SUBS
 
     def test_bottom_rejected(self, a1):
         with pytest.raises(ValueError):
-            applicable_rule(a1, BOTTOM)
+            premises(a1, BOTTOM)
 
 
 @given(ars_and_sets(max_states=8))
@@ -132,7 +130,6 @@ def test_premises_applies_the_applicable_rule(data, where, offset):
     ars, p, q = data
     pred = AprPredicate(p, q)
     (rule,) = applicable_rules(ars, pred)
-    assert applicable_rule(ars, pred) is rule
     for fold_states in (frozenset(), frozenset(range(ars.n))):
         assert premises(ars, pred, fold_states)[0] is rule
     # Out-of-table ids are still rejected, by the fast check at the ends.
@@ -141,8 +138,6 @@ def test_premises_applies_the_applicable_rule(data, where, offset):
         pred = AprPredicate(canon(p + (bad,)), q)
     else:
         pred = AprPredicate(p, canon(q + (bad,)))
-    with pytest.raises(UnknownObjectError):
-        applicable_rule(ars, pred)
     for fold_states in (frozenset(), frozenset(range(ars.n))):
         with pytest.raises(UnknownObjectError):
             premises(ars, pred, fold_states)
@@ -287,7 +282,6 @@ def test_premises_matches_the_per_state_reference(case):
         want = reference_premises(ars, pred, sources)
         assert want[0] is rule
         for target_set in (None, frozenset(pred.target)):
-            assert applicable_rule(ars, pred, target_set) is rule
             assert premises(ars, pred, states, target_set) == want
         stop = frozenset(pred.target) | ars._nf
         assert premises(ars, pred, states, None, stop) == want
@@ -388,6 +382,8 @@ PRE_PROOF_FAULTS = [
     ("proof", {"extra": [BOTTOM]}, "node 6: bottom node not introduced by Dis"),
     ("proof", {"xi": {4: 0}}, "node 4: bud is not an open leaf"),
     ("proof", {"xi": {3: 9}}, "node 3: companion must be a non-open node"),
+    ("proof", {"preds": {4: AprPredicate((2, 2), Q)}},
+     "node 4: source or target not strictly increasing"),
 ]
 
 
@@ -432,6 +428,8 @@ GRAPH_FAULTS = [
     ("disproof", {"preds": {2: AprPredicate((), (2,))}}, "1: Dis does not point at bottom"),
     ("proof", {"preds": {5: AprPredicate((2,), Q)}}, "5: Axiom with nonempty source"),
     ("proof", {"rules": {4: RuleName.AXIOM}}, "4: Axiom with an outedge"),
+    ("proof", {"preds": {1: AprPredicate((3, 1), Q)}},
+     "1: source or target not strictly increasing"),
 ]
 
 
@@ -495,6 +493,18 @@ class TestProofGraph:
         with pytest.raises(ValueError):
             proof_graph(pp)
 
+    def test_bottom_bud_rejected(self, a1):
+        pp = hand_built_disproof(a1)
+        pp.xi[2] = 0
+        with pytest.raises(ValueError):
+            proof_graph(pp)
+
+    def test_out_of_range_bud_rejected(self, a1):
+        pp = hand_built_disproof(a1)
+        pp.xi[7] = 0
+        with pytest.raises(ValueError):
+            proof_graph(pp)
+
     def test_empty_graph_acyclic(self):
         from reachproof.proofs import ProofGraph
         g = ProofGraph(PreProof(DerivationTree([], {}, {}), {}))
@@ -546,14 +556,14 @@ digraph proof {
         assert 'label="BOT", shape=doublecircle' in dot
 
     def test_format_predicate(self, a1):
-        assert format_predicate(a1, predicate((0,), (2, 3))) == "{a} => {c,d}"
+        assert predicate_formatter(a1)(predicate((0,), (2, 3))) == "{a} => {c,d}"
 
     def test_formatter_renders_each_goal_like_format_predicate(self, a1):
         # Equal targets in distinct tuples, a change of target, and bottom.
         goals = [predicate((0,), (2, 3)), predicate((1, 3), (2, 3)), BOTTOM,
                  predicate((), (1,)), predicate((0, 1), (2, 3))]
         fmt = predicate_formatter(a1)
-        assert [fmt(g) for g in goals] == [format_predicate(a1, g) for g in goals]
+        assert [fmt(g) for g in goals] == [predicate_formatter(a1)(g) for g in goals]
 
     def test_labels_with_every_admitted_punctuation_print_verbatim(self):
         # Labels admit _ . < > , - besides letters and digits, and none of

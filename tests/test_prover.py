@@ -31,6 +31,7 @@ from reachproof import (
     validate_pre_proof,
 )
 from reachproof import prover
+from reachproof.ars import bfs_path
 from reachproof.proofs import graph_violations
 from reachproof.prover import Lasso, witness_violations
 from reachproof.reductions import build_safety_query
@@ -207,7 +208,7 @@ def _min_counterexample(ars, pp) -> tuple[int, ...]:
     """The finite witness as read off with whole-source `min` scans."""
     t = pp.tree
     node = min(v for v, r in t.rules.items() if r is RuleName.DIS)
-    parents = t.parent_map()
+    parents = t.parents
     chain = [min(s for s in t.preds[node].source if ars.is_normal_form(s))]
     while node != t.root:
         node = parents[node]
@@ -444,6 +445,32 @@ def test_differential_at_200_states():
                 assert witness_violations(ars, pred, verdict.witness) == []
             kinds.add(type(verdict.witness).__name__)
     assert kinds == {"NoneType", "FinitePath", "Lasso"}
+
+
+def test_tree_parents_on_the_200_state_corpus(monkeypatch):
+    """On every pre-proof of the 200-state differential corpus, the tree's
+    parent table is `children` inverted with the root mapped to None, and
+    `bfs_path` walks it from the root down to each leaf, one tree edge a
+    step."""
+    pre_proofs = []
+    search = prover.prove
+
+    def recorded(*args):
+        pre_proofs.append(search(*args))
+        return pre_proofs[-1]
+
+    monkeypatch.setattr(prover, "prove", recorded)
+    test_differential_at_200_states()
+    assert len(pre_proofs) == 120
+    for pp in pre_proofs:
+        t = pp.tree
+        inverse = {c: v for v, kids in t.children.items() for c in kids}
+        assert t.parents == {**inverse, t.root: None}
+        for v in range(t.node_count):
+            if not t.children.get(v):
+                path = bfs_path(t.parents, v)
+                assert path[0] == t.root
+                assert all(b in t.children[a] for a, b in zip(path, path[1:]))
 
 
 def test_prove_steps_each_ruled_node_through_prover_premises(a1, monkeypatch):

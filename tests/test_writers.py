@@ -34,7 +34,6 @@ from reachproof.proofs import (
     PreProof,
     ProofGraph,
     RuleName,
-    format_predicate,
     predicate_formatter,
     to_dot,
 )
@@ -132,7 +131,7 @@ def test_formatter_matches_per_label_reference(kind):
     sets = sized_sets(ars.n)
     goals = [AprPredicate(p, q) for q in sets for p in sets] + [BOTTOM]
     assert [fmt(g) for g in goals] == [ref_format(ars, g) for g in goals]
-    assert [format_predicate(ars, g) for g in goals] == [ref_format(ars, g) for g in goals]
+    assert [predicate_formatter(ars)(g) for g in goals] == [ref_format(ars, g) for g in goals]
 
 
 @pytest.mark.parametrize("kind", ["ars", "model", "sink"])
