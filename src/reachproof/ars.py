@@ -14,10 +14,11 @@ matches recurring goals.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import invert, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence, TextIO
 
 # Canonical state set: strictly increasing tuple of object ids.
@@ -58,7 +59,12 @@ class System:
     """
 
     __slots__ = ()
-    _flat = False  # no flat table (see `der_image`): an `Ars` builds one
+    # The flat successor table `der_image` gathers from: per object its one
+    # successor when no other object has it, else `~i`, the object's id
+    # complemented, which sorts ahead of every successor and gives `i`
+    # back.  An `Ars` builds it on its first step, as `()` when under half
+    # its objects are on it; a lazy system has none.
+    _flat = False
 
     def is_normal_form(self, i: int) -> bool:
         return i in self._nf
@@ -282,25 +288,29 @@ def image(ars: System, p: Sequence[int]) -> set[int]:
 
 def der_image(ars: System, p: StateSet) -> StateSet:
     """The canonical successor set of the canonical set `p`: a ``Der`` step.
-    An `Ars` builds a flat table on the first call: each object's first
-    successor, and the objects off the table, which have not exactly one
-    successor or share it with another object.  A source with no object
-    off the table then takes one `itemgetter` gather, distinct by
-    construction, and a sort.  Other sources read the successor tuples."""
+    On the flat table (see `System._flat`) a source gathers its entries and
+    sorts them: a negative prefix names its objects off the table, and
+    their successor tuples, which meet no gathered successor, replace it
+    and are merged in.  Without a table a source reads its successor
+    tuples."""
     flat = ars._flat
     if flat is None:
         succs = ars.succs
         preds = Counter(chain.from_iterable(succs))
-        flat = ars._flat = (tuple([s[0] if s else -1 for s in succs]),
-                            frozenset([i for i, s in enumerate(succs)
-                                       if len(s) != 1 or preds[s[0]] > 1]))
-    if flat:
-        first, shared = flat
-        if shared.isdisjoint(p):  # distinct objects, distinct successors
-            if len(p) > 1:
-                return tuple(sorted(itemgetter(*p)(first)))
-            return (first[p[0]],) if p else EMPTY
-    return tuple(sorted(image(ars, p)))
+        flat = tuple([s[0] if len(s) == 1 and preds[s[0]] == 1 else ~i
+                      for i, s in enumerate(succs)])
+        flat = ars._flat = flat if 2 * sum(e >= 0 for e in flat) >= len(flat) else ()
+    if not flat:
+        return tuple(sorted(image(ars, p)))
+    if len(p) < 2:
+        return ars.succs[p[0]] if p else EMPTY
+    g = sorted(itemgetter(*p)(flat))
+    if g[0] < 0:
+        k = bisect_left(g, 0)
+        g[:k] = (ars.succs[~g[0]] if k == 1 else
+                 set(chain.from_iterable(itemgetter(*map(invert, g[:k]))(ars.succs))))
+        g.sort()
+    return tuple(g)
 
 
 def derivative(ars: System, p: Iterable[int]) -> StateSet:

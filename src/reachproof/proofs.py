@@ -422,11 +422,12 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
 class ProofGraph:
     """Quotient of a closed pre-proof: buds identified with companions.
 
-    A view of `pre_proof`, whose buds must be exactly its open leaves, as
-    `proof_graph` checks.  Vertices are the tree's non-bud nodes in
-    preorder; an edge leads from a node to each child, with bud children
-    redirected to their companions, and parallel edges collapse.  Every
-    edge is labeled (via `rules`) by the rule of its source vertex.
+    A view of `pre_proof`, whose buds must be exactly its open leaves and
+    its companions ``Der`` nodes, as `proof_graph` checks.  Vertices are
+    the tree's non-bud nodes in preorder; an edge leads from a node to each
+    child, with bud children redirected to their companions, and parallel
+    edges collapse.  Every edge is labeled (via `rules`) by the rule of its
+    source vertex.
     `predicates` and `rules` are the tree's own tables, indexed by node id;
     `predicates` also holds the buds, which are not vertices.  The
     `vertices` and `edges` tuples are built on first read; their counts
@@ -474,10 +475,12 @@ class ProofGraph:
 def proof_graph(pp: PreProof) -> ProofGraph:
     """The proof graph of a closed pre-proof (deterministic order).
 
-    Its buds must be exactly its open leaves.
+    Its buds must be exactly its open leaves, and its companions ``Der``
+    nodes of the tree.
     """
-    if pp.xi.keys() != pp.tree.open_leaves():
-        raise ValueError("proof graph requires a closed pre-proof")
+    t = pp.tree
+    if pp.xi.keys() != t.open_leaves() or any(t.rules.get(c) is not _DER for c in pp.xi.values()):
+        raise ValueError("proof graph requires a closed pre-proof with Der companions")
     return ProofGraph(pp)
 
 

@@ -188,11 +188,18 @@ def test_derivative_distributes_over_union(data):
 @st.composite
 def flat_table_cases(draw, max_states=30):
     """A system whose objects mostly have one successor, the others none or
-    several (fan-out), with fan-in where successors coincide; sometimes
-    with a sink.  Then canonical sources drawn from it."""
+    several (fan-out), with fan-in where successors coincide; or, for about
+    half the draws, a spine with a few detours under shuffled ids, where
+    most objects are on the flat table.  Sometimes with a sink.  Then
+    canonical sources drawn from it."""
     n = draw(st.integers(1, max_states))
-    degree = st.sampled_from((1, 1, 1, 1, 0, 2, 3))
-    edges = [(s, draw(st.integers(0, n - 1))) for s in range(n) for _ in range(draw(degree))]
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(n)))
+        edges = [(ids[s], ids[s + 1]) for s in range(n - 1)]
+        edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    else:
+        degree = st.sampled_from((1, 1, 1, 1, 0, 2, 3))
+        edges = [(s, draw(st.integers(0, n - 1))) for s in range(n) for _ in range(draw(degree))]
     ars = Ars([f"s{i}" for i in range(n)], edges)
     if draw(st.booleans()):
         ars = ars.with_sink("sink", draw(st.lists(st.integers(0, n - 1))), draw(st.booleans()))
@@ -200,15 +207,41 @@ def flat_table_cases(draw, max_states=30):
     return ars, draw(st.lists(sources, min_size=1, max_size=4))
 
 
+def _spine(n: int) -> Ars:
+    return Ars([f"s{i}" for i in range(n)], [(s, s + 1) for s in range(n - 1)])
+
+
+# The spine 0 -> ... -> 8 with the detour 1 -> 3 -> 4 beside 1 -> 2 -> 4:
+# the fan-out 1, the feeders 2 and 3 of the merge 4 and the normal form 8
+# are off the flat table, the other five objects on it.
+DETOUR = Ars([f"s{i}" for i in range(9)],
+             [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)])
+# Only the spine's end feeds the sink: every object but the sink is on the table.
+END_SINK = _spine(5).with_sink("sink", range(4), complement=True)
+
+
 @given(flat_table_cases())
 @example((Ars(["a", "b", "c", "d"], [(0, 3), (1, 2)]), [(0, 1), (1,), ()]))  # on the table
-@example((Ars(["a", "b", "c"], [(0, 2), (1, 2)]), [(0, 1), (0,), ()]))  # fan-in
-@example((Ars(["a", "b", "c"], [(0, 1), (0, 2), (1, 2)]), [(0, 1), (1,)]))  # fan-out
+@example((Ars(["a", "b", "c"], [(0, 2), (1, 2)]), [(0, 1), (0,), ()]))  # fan-in, no table
+@example((Ars(["a", "b", "c"], [(0, 1), (0, 2), (1, 2)]), [(0, 1), (1,)]))  # fan-out, no table
+@example((DETOUR, [(2, 3), (1, 2, 3)]))  # both feeders of the merge; all off the table
+@example((DETOUR, [(0, 1, 5, 6)]))  # a fan-out object among objects on the table
+@example((DETOUR, [(2, 5, 6), (0, 3)]))  # exactly one object off the table
+@example((DETOUR, [(7, 8), (8,), (0, 8)]))  # normal forms
+@example((END_SINK, [(3, 4), (0, 4), (4,), (4, 5)]))
 def test_der_image_is_the_sorted_image_of_the_successor_tuples(case):
     ars, sources = case
     for p in sources:  # the first call builds the flat table, the others read it
         assert der_image(ars, p) == tuple(sorted(image(ars, p)))
-        assert der_image(ars, p) == canon(t for s in p for t in ars.succs[s])
+        assert derivative(ars, p) == canon(t for s in p for t in ars.succs[s])
+
+
+def test_flat_table_is_built_where_half_the_objects_are_on_it():
+    cases = [(DETOUR, True), (END_SINK, True), (_spine(4).with_sink("any", (), True), False),
+             (Ars(["a", "b", "c"], [(0, 2), (1, 2)]), False)]
+    for ars, built in cases:
+        der_image(ars, (0, 1))
+        assert bool(ars._flat) is built
 
 
 @given(ars_and_sets())

@@ -505,6 +505,30 @@ class TestProofGraph:
         with pytest.raises(ValueError):
             proof_graph(pp)
 
+    def test_out_of_range_companion_rejected(self, a1):
+        pp = hand_built_proof(a1)
+        pp.xi[3] = 9
+        with pytest.raises(ValueError):
+            proof_graph(pp)
+
+    def test_open_leaf_companion_rejected(self):
+        # Both leaves are buds, and the first one's companion is the other.
+        pred = predicate((0,), (2,))
+        tree = DerivationTree([pred] * 3, {0: RuleName.DER}, {0: (1, 2)}, 0)
+        with pytest.raises(ValueError):
+            proof_graph(PreProof(tree, {1: 2, 2: 0}))
+
+    def test_bud_as_its_own_companion_rejected(self):
+        tree = DerivationTree([predicate((0,), (2,))], {}, {}, 0)
+        with pytest.raises(ValueError):
+            proof_graph(PreProof(tree, {0: 0}))
+
+    def test_companion_ruled_by_subs_rejected(self, a1):
+        pp = hand_built_proof(a1)
+        pp.xi[3] = 1
+        with pytest.raises(ValueError):
+            proof_graph(pp)
+
     def test_empty_graph_acyclic(self):
         from reachproof.proofs import ProofGraph
         g = ProofGraph(PreProof(DerivationTree([], {}, {}), {}))
