@@ -430,17 +430,6 @@ class ExecutionPath:
             raise ValueError("execution path must be nonempty")
 
 
-def execution_path_violations(ars: System, path: ExecutionPath) -> list[str]:
-    """Structural problems of `path` against `ars` (empty list = well-formed)."""
-    problems = []
-    for a, b in zip(path.steps, path.steps[1:]):
-        if b not in ars.succs[a]:
-            problems.append(f"no edge {ars.labels[a]} -> {ars.labels[b]}")
-    if not ars.is_normal_form(path.steps[-1]):
-        problems.append(f"maximal path ends at reducible {ars.labels[path.steps[-1]]}")
-    return problems
-
-
 def parse_ars(text: str) -> Ars:
     """Parse the line-based system format.
 

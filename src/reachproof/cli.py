@@ -201,8 +201,10 @@ def _emit_trace(ars: System, verd: Verdict, path: str) -> None:
     # as they are made: their indentation makes the trace quadratic in depth.
     depth = {t.root: 0}
     fmt = predicate_formatter(ars)
+    # An unruled node that is no bud is keyed by its `is_bottom`: a bottom
+    # leaf is closed, any other leaf open.
     rule_text = {rule: rule.value for rule in RuleName}
-    rule_text[None] = "open"
+    rule_text.update({False: "open", True: "closed"})
     with open(path, "w", encoding="utf-8") as fh:
         for v in t.preorder():
             indent = "  " * depth[v]
@@ -212,7 +214,7 @@ def _emit_trace(ars: System, verd: Verdict, path: str) -> None:
                 continue
             for c in children.get(v, ()):
                 depth[c] = depth[v] + 1
-            fh.write(f"{indent}{rule_text[rules.get(v)]} [{v}] {pred}\n")
+            fh.write(f"{indent}{rule_text[rules.get(v, preds[v].is_bottom)]} [{v}] {pred}\n")
 
 
 class QuerySpec(NamedTuple):

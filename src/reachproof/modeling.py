@@ -574,6 +574,9 @@ def _moves(model: Model) -> list[dict[str, list]]:
     for proc in model.processes:
         by_src = {loc: [] for loc in proc.locations}
         for edge in proc.edges:
+            for loc in (edge.src, edge.dst):
+                if loc not in by_src:
+                    raise ModelError(f"unknown location {loc!r} in an edge of {proc.name}")
             guard = None if edge.guard is None else _compile(model, edge.guard, allow_loc=False)
             assigns = [_compile_assign(model, var, rhs) for var, rhs in edge.assigns]
             by_src[edge.src].append((edge, guard, assigns))
@@ -672,6 +675,13 @@ class ModelSystem(LazySystem):
 
     def __init__(self, model: Model, max_states: int = DEFAULT_STATE_CAP):
         moves = _moves(model)
+        # The parser checks these in model text; `initial` reads them.
+        faults = [f"unknown init location {loc!r} of {p.name}" for p in model.processes
+                  for loc in p.init_locations if loc not in p.locations]
+        faults += [f"initial value {v!r} outside the domain of {d.name}" for d in model.variables
+                   for v in d.init_values if not d.admits(v)]
+        if faults:
+            raise ModelError(faults[0])
         nv = _valuation_count(model)
         if nv > max_states:
             raise StateLimitError(f"{nv} valuations of the variables exceed cap {max_states}")

@@ -212,11 +212,17 @@ class DerivationTree:
         return {v for v in leaves if not preds[v].is_bottom}
 
     def preorder(self) -> Iterator[int]:
+        """The nodes the root reaches, depth first.  Raises ValueError past
+        `node_count` nodes: then `children` revisits a node."""
         stack = [self.root] if self.preds else []
-        while stack:
+        for _ in self.preds:
+            if not stack:
+                return
             v = stack.pop()
             yield v
             stack.extend(reversed(self.children.get(v, ())))
+        if stack:
+            raise ValueError("children revisit a node: not a tree")
 
     @cached_property
     def parents(self) -> dict[int, int | None]:
@@ -290,7 +296,9 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
     def bad(node: int | None, msg: str) -> None:
         out.append(Violation(node, msg))
 
-    # Tree shape: child ids in range, unique parent, all reachable from root.
+    # Tree shape: the root and child ids in range, one parent at most, none
+    # for the root.  A cycle the root reaches breaks one of these, so once
+    # they hold, `preorder` visits each reached node once.
     if not 0 <= t.root < n:
         bad(None, f"root {t.root} out of range")
         return ValidationReport(out, "open")
@@ -310,22 +318,8 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
             bad(v, "rule without a children entry")
     if t.root in parents:
         bad(t.root, "root has a parent")
-    # Depth first, keeping the path from the root: a child on it closes a
-    # cycle; a child seen off it has two parents, reported above.
-    seen = {t.root: True}  # node -> whether it is on the path
-    walk = [(t.root, iter(t.children.get(t.root, ())))]
-    while walk:
-        c = next(walk[-1][1], None)
-        if seen.get(c):
-            bad(c, "cycle in tree structure")
-            break
-        if c is None:
-            seen[walk.pop()[0]] = False
-        elif 0 <= c < n and c not in seen:
-            seen[c] = True
-            walk.append((c, iter(t.children.get(c, ()))))
-    if len(seen) != n and not out:
-        bad(None, f"{n - len(seen)} nodes unreachable from root")
+    if not out and (reached := sum(1 for _ in t.preorder())) != n:
+        bad(None, f"{n - reached} nodes unreachable from root")
 
     # Rule instances.  No set is canonicalized again: each must be strictly
     # increasing, so it is range-checked at its ends, and the target's set
@@ -342,6 +336,9 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
 
     target: StateSet | None = None
     for v, rule in t.rules.items():
+        if not 0 <= v < n:
+            bad(v, "node id out of range")
+            continue
         pred = t.preds[v]
         kids = t.children.get(v, ())
         if pred.is_bottom:
@@ -494,7 +491,8 @@ def is_acyclic(g: ProofGraph) -> bool:
     parent is `xi[b1]` or lies below it.  To keep that graph linear in the
     buds, the step runs through the companions and bud parents as
     vertices: each is entered from its nearest such proper ancestor, and
-    a bud's parent leads to the bud's companion.
+    a bud's parent leads to the bud's companion.  Raises ValueError when
+    the parent links close a cycle.
     """
     xi, parents = g.pre_proof.xi, g.pre_proof.tree.parents
     succs: dict[int, list[int]] = {c: [] for c in xi.values()}
@@ -504,9 +502,13 @@ def is_acyclic(g: ProofGraph) -> bool:
     for k in succs:
         path = []
         v = parents.get(k)
-        while v is not None and v not in succs and v not in above:
+        for _ in parents:  # a longer walk up repeats a node
+            if v is None or v in succs or v in above:
+                break
             path.append(v)
             v = parents.get(v)
+        else:
+            raise ValueError("parent links close a cycle: not a tree")
         top = above.get(v, v)
         for u in path:
             above[u] = top

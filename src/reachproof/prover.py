@@ -23,7 +23,6 @@ from .ars import (
     bfs,
     bfs_path,
     cyclic_sccs,
-    execution_path_violations,
     region_succs,
 )
 from .proofs import (
@@ -281,27 +280,24 @@ def region_lasso(ars: System, tree: dict[int, int | None], target: StateSet) -> 
 
 
 def witness_violations(ars: System, pred: AprPredicate, witness: Witness) -> list[str]:
-    """Check a witness against the original query's invariants."""
-    src = set(pred.source)
-    tgt = set(pred.target)
-    problems = []
+    """Check a witness against the original query's invariants, as one walk
+    over a finite path or a lasso's stem and cycle: its start, each edge,
+    its end (stuck, or an edge back into the cycle) and the target."""
     if isinstance(witness, FinitePath):
-        problems.extend(execution_path_violations(ars, witness.path))
-        if witness.path.steps[0] not in src:
-            problems.append("path does not start in the source set")
-        if any(s in tgt for s in witness.path.steps):
-            problems.append("path touches the target set")
-        return problems
-    stem, cycle = witness.stem, witness.cycle
-    head = stem[0] if stem else cycle[0]
-    if head not in src:
-        problems.append("lasso does not start in the source set")
-    walk = list(stem) + list(cycle)
+        kind, walk, back = "path", witness.path.steps, None
+    else:
+        kind, walk, back = "lasso", witness.stem + witness.cycle, witness.cycle[0]
+    problems = []
+    if walk[0] not in pred.source:
+        problems.append(f"{kind} does not start in the source set")
     for a, b in zip(walk, walk[1:]):
         if b not in ars.succs[a]:
             problems.append(f"no edge {ars.labels[a]} -> {ars.labels[b]}")
-    if cycle[0] not in ars.succs[cycle[-1]]:
+    if back is None:
+        if not ars.is_normal_form(walk[-1]):
+            problems.append(f"maximal path ends at reducible {ars.labels[walk[-1]]}")
+    elif back not in ars.succs[walk[-1]]:
         problems.append("cycle does not close")
-    if any(s in tgt for s in walk):
-        problems.append("lasso touches the target set")
+    if not set(pred.target).isdisjoint(walk):
+        problems.append(f"{kind} touches the target set")
     return problems

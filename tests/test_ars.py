@@ -23,7 +23,6 @@ from reachproof.ars import (
     bfs_path,
     cyclic_sccs,
     der_image,
-    execution_path_violations,
     image,
     region_succs,
 )
@@ -396,15 +395,6 @@ class TestExecutionPath:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ExecutionPath(())
-
-    def test_well_formed(self, a1):
-        assert execution_path_violations(a1, ExecutionPath((0, 3))) == []
-
-    def test_gap_detected(self, a1):
-        assert execution_path_violations(a1, ExecutionPath((0, 2)))
-
-    def test_nonmaximal_end_detected(self, a1):
-        assert execution_path_violations(a1, ExecutionPath((0, 1)))
 
 
 def test_a1_text_matches_fixture(a1):

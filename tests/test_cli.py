@@ -364,7 +364,7 @@ class TestExpandExport:
         ("monolithic", "a", "c",
          "Der [0] {a} => {c}\n"
          "  Dis [1] {b,d} => {c}\n"
-         "    open [2] BOT\n"),
+         "    closed [2] BOT\n"),
     ])
     def test_trace_text(self, capsys, a1_file, tmp_path, strategy, source, target, expected):
         trace = tmp_path / "proof.trace"

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from reachproof import (
 from reachproof.modeling import (
     MAX_NESTING,
     DomainError,
+    EdgeDecl,
     ModelError,
     ModelSyntaxError,
     StateLimitError,
@@ -273,6 +275,26 @@ class TestExpand:
                 assert len(causes) == 1
                 checked += 1
         assert checked > 40
+
+    # A model built in code skips the parser's checks: each fault the parser
+    # rejects in text is a ModelError naming the process or variable.
+    @pytest.mark.parametrize("fault, needle", [
+        ("edge", "unknown location 'zz' in an edge of P"),
+        ("init location", "unknown init location 'zz' of P"),
+        ("init value", "initial value 5 outside the domain of x"),
+    ])
+    @pytest.mark.parametrize("build", [ModelSystem, expand])
+    def test_hand_built_model_faults_raise_model_error(self, build, fault, needle):
+        model = parse_model("var x: int[0..3] = 0\nprocess P { loc a init\n loc b\n edge a -> b }")
+        (x,), (proc,) = model.variables, model.processes
+        if fault == "edge":
+            proc = replace(proc, edges=(EdgeDecl("a", "zz", None, ()),))
+        elif fault == "init location":
+            proc = replace(proc, init_locations=("a", "zz"))
+        else:
+            x = replace(x, init_values=(0, 5))
+        with pytest.raises(ModelError, match=needle):
+            build(replace(model, variables=(x,), processes=(proc,))).initial
 
 
 class TestEvalStatePredicate:

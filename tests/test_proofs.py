@@ -25,6 +25,7 @@ from reachproof import (
     to_dot,
     validate_pre_proof,
 )
+from reachproof.ars import bfs_path
 from reachproof.proofs import (
     applicable_rules,
     graph_violations,
@@ -68,7 +69,12 @@ def edited(a1, base: str, changes: dict) -> PreProof:
     """The worked `proof` or `disproof` of `a1` with `changes` made: a new
     `root`, nodes appended (`extra`), and entries of `preds`, `rules`,
     `children` and `xi` set, or deleted where the value is None."""
-    pp = {"proof": hand_built_proof, "disproof": hand_built_disproof}[base](a1)
+    return with_changes({"proof": hand_built_proof, "disproof": hand_built_disproof}[base](a1),
+                        changes)
+
+
+def with_changes(pp: PreProof, changes: dict) -> PreProof:
+    """`pp` with `changes` made, as `edited` describes them."""
     t = pp.tree
     t.root = changes.get("root", t.root)
     t.preds.extend(changes.get("extra", ()))
@@ -356,7 +362,12 @@ PRE_PROOF_FAULTS = [
     ("proof", {"children": {4: (5, 3)}}, "node 3: node has two parents"),
     ("proof", {"children": {5: None}}, "node 5: rule without a children entry"),
     ("proof", {"children": {5: (0,)}}, "node 0: root has a parent"),
-    ("proof", {"children": {5: (1,)}}, "node 1: cycle in tree structure"),
+    # A cycle back to node 1 gives node 1 a second parent: that is how the
+    # checker reports it.
+    ("proof", {"children": {5: (1,)}}, "node 1: node has two parents"),
+    ("proof", {"rules": {9: RuleName.AXIOM}}, "node 9: node id out of range"),
+    ("proof", {"rules": {-1: RuleName.AXIOM}, "children": {-1: ()}},
+     "node -1: node id out of range"),
     ("proof", {"extra": [AprPredicate((0,), Q)]}, "1 nodes unreachable from root"),
     ("proof", {"preds": {5: BOTTOM}}, "node 5: rule applied to bottom"),
     ("proof", {"preds": {5: BOTTOM}}, "node 5: bottom child outside Dis"),
@@ -412,6 +423,57 @@ def test_second_parent_on_an_acyclic_tree_is_no_cycle(a1):
         a1, edited(a1, "proof", {"children": {4: (5, 3)}})).violations]
     assert "node 3: node has two parents" in messages
     assert not any("cycle" in m for m in messages)
+
+
+def _mutants(rng, pp):
+    """Copies of the prover's pre-proof `pp`, each with one structural
+    fault: the kind of fault, the copy, and a message the checker must
+    report for it."""
+    t, n = pp.tree, pp.tree.node_count
+    far = rng.choice([n + rng.randrange(3), -1 - rng.randrange(n + 2)])
+    sign = "negative" if far < 0 else "too large"
+    u = rng.choice(sorted(t.rules))
+    a = rng.choice(bfs_path(t.parents, u))  # `u` or an ancestor, as a child of `u`
+    edits = [
+        (f"ruled id {sign}", {"rules": {far: t.rules[u]}, "children": {far: ()}},
+         f"node {far}: node id out of range"),
+        (f"child id {sign}", {"children": {u: t.children[u] + (far,)}},
+         f"node {u}: child id {far} out of range"),
+        ("cycle", {"children": {u: t.children[u] + (a,)}},
+         f"node {a}: root has a parent" if a == t.root else f"node {a}: node has two parents"),
+        ("no children entry", {"children": {u: None}}, f"node {u}: rule without a children entry"),
+        ("no rule", {"rules": {u: None}}, f"node {u}: children without a rule"),
+        ("orphan", {"extra": [t.preds[t.root]]}, "1 nodes unreachable from root"),
+    ]
+    if inner := [v for v in sorted(t.rules) if t.children[v]]:
+        v = rng.choice(inner)
+        c = rng.choice(t.children[v])
+        edits.append(("duplicate child", {"children": {v: t.children[v] + (c,)}},
+                      f"node {c}: node has two parents"))
+    for kind, changes, message in edits:
+        copy = DerivationTree(list(t.preds), dict(t.rules), dict(t.children), t.root)
+        yield kind, with_changes(PreProof(copy, dict(pp.xi)), changes), message
+
+
+def test_validation_reports_each_structural_mutation_of_prover_output():
+    """On 300 random systems, the checker accepts the prover's pre-proofs
+    and, without raising, reports every structural fault put into them: an
+    out-of-range or negative ruled id or child id, a duplicate child, a
+    child that closes a cycle, an orphan node, and a rule without a
+    children entry or the reverse."""
+    rng = random.Random(2404)
+    seen = set()
+    for _ in range(300):
+        ars = random_ars(rng)
+        pred = predicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
+        pp = prove(ars, pred, ProverConfig(strategy=rng.choice(list(SplitStrategy))))
+        assert validate_pre_proof(ars, pp).ok
+        for kind, mutant, message in _mutants(rng, pp):
+            assert message in [str(v) for v in validate_pre_proof(ars, mutant).violations]
+            seen.add(kind)
+    assert seen == {f"{what} id {sign}" for what in ("ruled", "child")
+                    for sign in ("negative", "too large")} | {
+        "cycle", "no children entry", "no rule", "orphan", "duplicate child"}
 
 
 # One faulty proof graph per message of `graph_violations`, built as the
@@ -522,6 +584,24 @@ class TestProofGraph:
         tree = DerivationTree([predicate((0,), (2,))], {}, {}, 0)
         with pytest.raises(ValueError):
             proof_graph(PreProof(tree, {0: 0}))
+
+    def test_walks_of_a_der_cycle_without_buds_raise(self, a1):
+        # Nodes 1 and 2 are each other's child: no open leaf and so no bud,
+        # which `proof_graph` accepts, but no walk of it may loop forever.
+        tree = DerivationTree([predicate((0,), ())] * 3, dict.fromkeys(range(3), RuleName.DER),
+                              {0: (1,), 1: (2,), 2: (1,)}, 0)
+        g = proof_graph(PreProof(tree, {}))
+        for walk in (lambda: g.vertices, lambda: to_dot(a1, g), lambda: graph_violations(a1, g)):
+            with pytest.raises(ValueError):
+                walk()
+
+    def test_cycle_test_on_parent_links_that_cycle_raises(self):
+        # Nodes 1 and 2 are each other's parent above companion 3 of bud 4:
+        # the walk up from node 3 never meets the root.
+        tree = DerivationTree([predicate((0,), ())] * 5, dict.fromkeys(range(4), RuleName.DER),
+                              {0: (), 1: (2, 3), 2: (1,), 3: (4,)}, 0)
+        with pytest.raises(ValueError):
+            is_acyclic(proof_graph(PreProof(tree, {4: 3})))
 
     def test_companion_ruled_by_subs_rejected(self, a1):
         pp = hand_built_proof(a1)

@@ -256,6 +256,16 @@ class TestWitnessChecks:
         ((0,), (2, 3), Lasso((), (1, 0)), ["lasso does not start in the source set"]),
         ((0,), (), Lasso((), (0, 2)), ["no edge a -> c", "cycle does not close"]),
         ((0,), (1,), Lasso((), (0, 1)), ["lasso touches the target set"]),
+        # Well-formed witnesses, and every fault at once: the messages come
+        # in the walk's order (start, edges, end, target).
+        ((0,), (), FinitePath(ExecutionPath((0, 3))), []),
+        ((0,), (), Lasso((), (0, 1)), []),
+        ((0,), (3,), FinitePath(ExecutionPath((1, 3, 0))),
+         ["path does not start in the source set", "no edge b -> d", "no edge d -> a",
+          "maximal path ends at reducible a", "path touches the target set"]),
+        ((0,), (2,), Lasso((1,), (3, 2)),
+         ["lasso does not start in the source set", "no edge b -> d", "no edge d -> c",
+          "cycle does not close", "lasso touches the target set"]),
     ])
     def test_each_problem_is_named(self, a1, source, target, witness, problems):
         assert witness_violations(a1, predicate(source, target), witness) == problems

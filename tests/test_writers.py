@@ -71,7 +71,10 @@ def ref_trace(ars, pp):
         if v in pp.xi:
             out.append(f"{indent}bud {ref_format(ars, t.preds[v])} -> node {pp.xi[v]}\n")
             return
-        rule = t.rules[v].value if v in t.rules else "open"
+        if v in t.rules:
+            rule = t.rules[v].value
+        else:
+            rule = "closed" if t.preds[v].is_bottom else "open"
         out.append(f"{indent}{rule} [{v}] {ref_format(ars, t.preds[v])}\n")
         for c in t.children.get(v, ()):
             walk(c, depth + 1)
