@@ -8,12 +8,14 @@ from reachproof import (
     Ars,
     ArsError,
     ExecutionPath,
+    FinitePath,
     UnknownObjectError,
     avoiding_region,
     canon,
     derivative,
     is_runnable,
     parse_ars,
+    predicate,
     reachable,
     render_ars,
 )
@@ -26,6 +28,7 @@ from reachproof.ars import (
     image,
     region_succs,
 )
+from reachproof.prover import witness_violations
 
 from conftest import A1_TEXT, assert_same_system, random_ars, random_subset, rebuilt_with_sink
 
@@ -395,6 +398,16 @@ class TestExecutionPath:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ExecutionPath(())
+
+    # A path's own faults are read by the witness walk: a missing edge, and
+    # an end that is not a normal form.
+    def test_gap_detected(self, a1):
+        problems = witness_violations(a1, predicate((0,), ()), FinitePath(ExecutionPath((0, 2))))
+        assert problems == ["no edge a -> c"]
+
+    def test_nonmaximal_end_detected(self, a1):
+        problems = witness_violations(a1, predicate((0,), ()), FinitePath(ExecutionPath((0, 1))))
+        assert problems == ["maximal path ends at reducible b"]
 
 
 def test_a1_text_matches_fixture(a1):
