@@ -40,7 +40,6 @@ from .proofs import (
     PreProof,
     ProofGraph,
     RuleName,
-    ValidationReport,
     is_acyclic,
     predicate,
     premises,

@@ -45,6 +45,7 @@ from .proofs import (  # noqa: F401
     to_dot,
 )
 from .prover import (
+    DEFAULT_NODE_BUDGET,
     FinitePath,
     NodeBudgetExceeded,
     ProverConfig,
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--emit-trace", metavar="PATH",
                         help="write the pre-proof as an indented trace")
         sp.add_argument("--json", action="store_true", help="print a JSON report")
-        sp.add_argument("--max-nodes", type=_positive_int, default=1_000_000,
+        sp.add_argument("--max-nodes", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                         help="cap on proof-search nodes")
         sp.set_defaults(func=cmd_query)
 

@@ -25,14 +25,13 @@ from .prover import FinitePath, Witness, region_lasso
 
 @dataclass(frozen=True)
 class OracleAnswer:
-    valid: bool
+    """A decision: valid exactly when no counterexample was found."""
+
     witness: Witness | None = None
 
-    def __post_init__(self) -> None:
-        if self.valid and self.witness is not None:
-            raise ValueError("valid answers carry no witness")
-        if not self.valid and self.witness is None:
-            raise ValueError("invalid answers need a witness")
+    @property
+    def valid(self) -> bool:
+        return self.witness is None
 
 
 def _stuck_path(ars: System, tree: dict[int, int | None]) -> FinitePath | None:
@@ -47,8 +46,7 @@ def _stuck_path(ars: System, tree: dict[int, int | None]) -> FinitePath | None:
 def oracle_partial(ars: System, pred: AprPredicate) -> OracleAnswer:
     """Exact decision of partial validity by region analysis."""
     tree = bfs(ars, ars.check_members(pred.source), ars.check_members(pred.target))
-    path = _stuck_path(ars, tree)
-    return OracleAnswer(path is None, path)
+    return OracleAnswer(_stuck_path(ars, tree))
 
 
 def oracle_total(ars: System, pred: AprPredicate) -> OracleAnswer:
@@ -56,5 +54,4 @@ def oracle_total(ars: System, pred: AprPredicate) -> OracleAnswer:
     tree of the avoiding region yields both the stuck run and the lasso."""
     target = ars.check_members(pred.target)
     tree = bfs(ars, ars.check_members(pred.source), target)
-    witness = _stuck_path(ars, tree) or region_lasso(ars, tree, target)
-    return OracleAnswer(witness is None, witness)
+    return OracleAnswer(_stuck_path(ars, tree) or region_lasso(ars, tree, target))

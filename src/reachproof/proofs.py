@@ -256,52 +256,33 @@ class PreProof:
         return "open"
 
 
-@dataclass(frozen=True)
-class Violation:
-    node: int | None
-    message: str
-
-    def __str__(self) -> str:
-        where = "" if self.node is None else f"node {self.node}: "
-        return where + self.message
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation]
-    classification: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _increasing(ids: StateSet) -> bool:
     """Whether `ids` is canonical: bud matching compares tuples."""
     return all(map(lt, ids, ids[1:]))
 
 
-def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
+def validate_pre_proof(ars: System, pp: PreProof) -> list[str]:
     """Check every rule instance and bud condition; never raises.
 
-    A valid report confirms: the tree is a tree, each ruled node is an
-    instance of its rule with the exact side conditions on canonical
-    (strictly increasing) sets, bottom occurs only under ``Dis``, and every
-    bud points at a ``Der`` node with the identical predicate.
+    Returns one message per violation (`node <v>: <fault>`, or the fault
+    alone when it is the whole tree's), and ``[]`` for a pre-proof whose
+    tree is a tree, each ruled node an instance of its rule with the exact
+    side conditions on canonical (strictly increasing) sets, bottom only
+    under ``Dis``, and every bud pointing at a ``Der`` node with the
+    identical predicate.
     """
     t = pp.tree
     n = len(t.preds)
-    out: list[Violation] = []
+    out: list[str] = []
 
-    def bad(node: int | None, msg: str) -> None:
-        out.append(Violation(node, msg))
+    def bad(node: int, msg: str) -> None:
+        out.append(f"node {node}: {msg}")
 
     # Tree shape: the root and child ids in range, one parent at most, none
     # for the root.  A cycle the root reaches breaks one of these, so once
     # they hold, `preorder` visits each reached node once.
     if not 0 <= t.root < n:
-        bad(None, f"root {t.root} out of range")
-        return ValidationReport(out, "open")
+        return [f"root {t.root} out of range"]
     parents: dict[int, int] = {}
     for v, kids in t.children.items():
         if v not in t.rules:
@@ -319,7 +300,7 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
     if t.root in parents:
         bad(t.root, "root has a parent")
     if not out and (reached := sum(1 for _ in t.preorder())) != n:
-        bad(None, f"{n - reached} nodes unreachable from root")
+        out.append(f"{n - reached} nodes unreachable from root")
 
     # Rule instances.  No set is canonicalized again: each must be strictly
     # increasing, so it is range-checked at its ends, and the target's set
@@ -412,7 +393,7 @@ def validate_pre_proof(ars: System, pp: PreProof) -> ValidationReport:
         if t.rules.get(comp) is not RuleName.DER:
             bad(v, "companion rule must be Der")
 
-    return ValidationReport(out, pp.classification)
+    return out
 
 
 @dataclass
@@ -472,11 +453,12 @@ class ProofGraph:
 def proof_graph(pp: PreProof) -> ProofGraph:
     """The proof graph of a closed pre-proof (deterministic order).
 
-    Its buds must be exactly its open leaves, and its companions ``Der``
-    nodes of the tree.
+    Its buds must be exactly its open leaves, each some node's child, and
+    its companions ``Der`` nodes of the tree.
     """
     t = pp.tree
-    if pp.xi.keys() != t.open_leaves() or any(t.rules.get(c) is not _DER for c in pp.xi.values()):
+    if (pp.xi.keys() != t.open_leaves() or None in map(t.parents.get, pp.xi)
+            or any(t.rules.get(c) is not _DER for c in pp.xi.values())):
         raise ValueError("proof graph requires a closed pre-proof with Der companions")
     return ProofGraph(pp)
 

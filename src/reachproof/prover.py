@@ -37,6 +37,9 @@ from .proofs import (
 )
 
 
+DEFAULT_NODE_BUDGET = 1_000_000
+
+
 class NodeBudgetExceeded(RuntimeError):
     """The proof search created more nodes than the configured cap."""
 
@@ -60,7 +63,7 @@ class ProverConfig:
     ``Der`` node with the identical predicate wins."""
 
     strategy: SplitStrategy = SplitStrategy.EAGER
-    node_budget: int = 1_000_000
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
         if self.node_budget < 1:
@@ -287,6 +290,8 @@ def witness_violations(ars: System, pred: AprPredicate, witness: Witness) -> lis
         kind, walk, back = "path", witness.path.steps, None
     else:
         kind, walk, back = "lasso", witness.stem + witness.cycle, witness.cycle[0]
+    if bad := sorted({s for s in walk if not 0 <= s < ars.n}):
+        return [f"{kind} has ids outside the object table: {bad}"]
     problems = []
     if walk[0] not in pred.source:
         problems.append(f"{kind} does not start in the source set")

@@ -23,18 +23,19 @@ from .proofs import AprPredicate
 
 @dataclass(frozen=True)
 class SafetyCheckReport:
-    """Outcome of the three well-formedness conditions, with offenders."""
+    """The offenders of the three well-formedness conditions: target
+    states that are errors, reachable normal forms outside the target and
+    the errors, and reducible target states.  A condition holds when it
+    has none."""
 
-    disjoint_ok: bool
-    covers_nf_ok: bool
-    q_irreducible_ok: bool
     disjoint_offenders: StateSet
     covers_nf_offenders: StateSet
     q_irreducible_offenders: StateSet
 
     @property
     def is_safety_predicate(self) -> bool:
-        return self.disjoint_ok and self.covers_nf_ok and self.q_irreducible_ok
+        return not (self.disjoint_offenders or self.covers_nf_offenders
+                    or self.q_irreducible_offenders)
 
 
 def validate_safety_predicate(ars: System, p, q, e) -> SafetyCheckReport:
@@ -52,16 +53,10 @@ def validate_safety_predicate(ars: System, p, q, e) -> SafetyCheckReport:
         labels = ", ".join(ars.labels[s] for s in bad_e)
         raise ArsError(
             f"error states must be irreducible (got {labels}); apply augment_error first")
-    disjoint_offenders = canon(set(q).intersection(e))
-    covers_offenders = canon(set(filter(nf.__contains__, reachable(ars, p))).difference(e, q))
-    irr_offenders = canon(t for t in q if t not in nf)
     return SafetyCheckReport(
-        disjoint_ok=not disjoint_offenders,
-        covers_nf_ok=not covers_offenders,
-        q_irreducible_ok=not irr_offenders,
-        disjoint_offenders=disjoint_offenders,
-        covers_nf_offenders=covers_offenders,
-        q_irreducible_offenders=irr_offenders,
+        disjoint_offenders=canon(set(q).intersection(e)),
+        covers_nf_offenders=canon(set(filter(nf.__contains__, reachable(ars, p))).difference(e, q)),
+        q_irreducible_offenders=canon(t for t in q if t not in nf),
     )
 
 

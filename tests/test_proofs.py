@@ -296,46 +296,46 @@ def test_premises_matches_the_per_state_reference(case):
 
 class TestValidation:
     def test_worked_proof_is_valid(self, a1):
-        report = validate_pre_proof(a1, hand_built_proof(a1))
-        assert report.ok
-        assert report.classification == "proof"
+        pp = hand_built_proof(a1)
+        assert validate_pre_proof(a1, pp) == []
+        assert pp.classification == "proof"
 
     def test_companion_must_be_der(self, a1):
         pp = hand_built_proof(a1)
         pp.xi[3] = 1  # points at a Subs node
-        report = validate_pre_proof(a1, pp)
-        assert not report.ok
-        assert any("companion rule must be Der" in str(v) for v in report.violations)
+        problems = validate_pre_proof(a1, pp)
+        assert problems
+        assert any("companion rule must be Der" in m for m in problems)
 
     def test_worked_disproof_is_valid(self, a1):
-        report = validate_pre_proof(a1, hand_built_disproof(a1))
-        assert report.ok
-        assert report.classification == "disproof"
+        pp = hand_built_disproof(a1)
+        assert validate_pre_proof(a1, pp) == []
+        assert pp.classification == "disproof"
 
     def test_bud_predicate_mismatch(self, a1):
         pp = hand_built_proof(a1)
         pp.tree.preds[3] = AprPredicate((1,), pp.tree.preds[3].target)
-        report = validate_pre_proof(a1, pp)
-        assert any("predicates differ" in str(v) for v in report.violations)
+        problems = validate_pre_proof(a1, pp)
+        assert any("predicates differ" in m for m in problems)
 
     def test_der_union_mismatch(self, a1):
         pp = hand_built_proof(a1)
         pp.tree.preds[1] = AprPredicate((1,), pp.tree.preds[1].target)
-        report = validate_pre_proof(a1, pp)
-        assert any("union to the derivative" in str(v) for v in report.violations)
+        problems = validate_pre_proof(a1, pp)
+        assert any("union to the derivative" in m for m in problems)
 
     def test_open_pre_proof_reported_open(self, a1):
         pp = hand_built_proof(a1)
         del pp.xi[3]
-        report = validate_pre_proof(a1, pp)
-        assert report.classification == "open"
-        assert report.ok  # open is not a violation, just not closed
+        problems = validate_pre_proof(a1, pp)
+        assert pp.classification == "open"
+        assert not problems  # open is not a violation, just not closed
 
     def test_foreign_ids_reported_not_raised(self, a1):
         tree = DerivationTree([AprPredicate((9,), ())], {0: RuleName.DER}, {0: ()}, 0)
-        report = validate_pre_proof(a1, PreProof(tree, {}))
-        assert not report.ok
-        assert any("outside object table" in str(v) for v in report.violations)
+        problems = validate_pre_proof(a1, PreProof(tree, {}))
+        assert problems
+        assert any("outside object table" in m for m in problems)
 
     def test_overlapping_split_accepted(self):
         # x -> y, x -> z; a Der split {y,z} = {y} u {y,z} overlaps but is legal.
@@ -348,8 +348,8 @@ class TestValidation:
         rules = {0: RuleName.DER}
         children = {0: (1, 2)}
         tree = DerivationTree(preds, rules, children, 0)
-        report = validate_pre_proof(ars, PreProof(tree, {}))
-        assert not any("union" in str(v) for v in report.violations)
+        problems = validate_pre_proof(ars, PreProof(tree, {}))
+        assert not any("union" in m for m in problems)
 
 
 # One malformed pre-proof per message of `validate_pre_proof`, except the
@@ -401,16 +401,15 @@ PRE_PROOF_FAULTS = [
 @pytest.mark.parametrize("base, changes, message", PRE_PROOF_FAULTS,
                          ids=[m for *_, m in PRE_PROOF_FAULTS])
 def test_validation_reports_each_fault(a1, base, changes, message):
-    report = validate_pre_proof(a1, edited(a1, base, changes))
-    assert message in [str(v) for v in report.violations]
+    problems = validate_pre_proof(a1, edited(a1, base, changes))
+    assert message in problems
 
 
 def test_child_fault_names_its_own_child_past_an_out_of_range_id(a1):
     # The out-of-range id 9 comes first; node 4's fault must not be
     # reported for node 3, its neighbour in the children tuple.
-    messages = [str(v) for v in validate_pre_proof(a1, edited(
-        a1, "proof", {"children": {2: (9, 3, 4)}, "preds": {4: AprPredicate((2,), (2,))}}
-    )).violations]
+    messages = validate_pre_proof(a1, edited(
+        a1, "proof", {"children": {2: (9, 3, 4)}, "preds": {4: AprPredicate((2,), (2,))}}))
     assert "node 2: child id 9 out of range" in messages
     assert "node 4: child target differs from parent target" in messages
     assert not any(m.startswith("node 3:") for m in messages)
@@ -419,8 +418,7 @@ def test_child_fault_names_its_own_child_past_an_out_of_range_id(a1):
 def test_second_parent_on_an_acyclic_tree_is_no_cycle(a1):
     # Node 3 hangs under node 2 and under node 4 as well: two parents, but
     # no node is its own ancestor.
-    messages = [str(v) for v in validate_pre_proof(
-        a1, edited(a1, "proof", {"children": {4: (5, 3)}})).violations]
+    messages = validate_pre_proof(a1, edited(a1, "proof", {"children": {4: (5, 3)}}))
     assert "node 3: node has two parents" in messages
     assert not any("cycle" in m for m in messages)
 
@@ -467,9 +465,9 @@ def test_validation_reports_each_structural_mutation_of_prover_output():
         ars = random_ars(rng)
         pred = predicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
         pp = prove(ars, pred, ProverConfig(strategy=rng.choice(list(SplitStrategy))))
-        assert validate_pre_proof(ars, pp).ok
+        assert validate_pre_proof(ars, pp) == []
         for kind, mutant, message in _mutants(rng, pp):
-            assert message in [str(v) for v in validate_pre_proof(ars, mutant).violations]
+            assert message in validate_pre_proof(ars, mutant)
             seen.add(kind)
     assert seen == {f"{what} id {sign}" for what in ("ruled", "child")
                     for sign in ("negative", "too large")} | {
@@ -537,7 +535,7 @@ class TestProofGraph:
         ars = Ars(["x"], [(0, 0)])
         preds = [predicate((0,), ())] * 3
         pp = PreProof(DerivationTree(preds, {0: RuleName.DER}, {0: (1, 2)}, 0), {1: 0, 2: 0})
-        assert validate_pre_proof(ars, pp).ok
+        assert validate_pre_proof(ars, pp) == []
         g = proof_graph(pp)
         assert (g.vertices, g.edges) == ((0,), ((0, 0),))
         assert_counts(g)
@@ -566,6 +564,17 @@ class TestProofGraph:
         pp.xi[7] = 0
         with pytest.raises(ValueError):
             proof_graph(pp)
+
+    def test_bud_that_is_no_child_rejected(self, a1):
+        # An open leaf with a Der companion but no parent, so no edge leads
+        # to it: node 2, off the tree, or the root itself.
+        goal, done = predicate((0,), (2,)), predicate((), (2,))
+        off_tree = DerivationTree([goal, done, goal], {0: RuleName.DER, 1: RuleName.AXIOM},
+                                  {0: (1,), 1: ()}, 0)
+        root_bud = DerivationTree([goal, goal], {1: RuleName.DER}, {1: ()}, 0)
+        for pp in (PreProof(off_tree, {2: 0}), PreProof(root_bud, {0: 1})):
+            with pytest.raises(ValueError):
+                proof_graph(pp)
 
     def test_out_of_range_companion_rejected(self, a1):
         pp = hand_built_proof(a1)

@@ -266,6 +266,13 @@ class TestWitnessChecks:
         ((0,), (2,), Lasso((1,), (3, 2)),
          ["lasso does not start in the source set", "no edge b -> d", "no edge d -> c",
           "cycle does not close", "lasso touches the target set"]),
+        # Ids outside the table are reported before the walk, and nothing
+        # else is checked: -1 is not read as d, which would make a valid run.
+        ((0,), (), FinitePath(ExecutionPath((0, 5))),
+         ["path has ids outside the object table: [5]"]),
+        ((0,), (), Lasso((), (7,)), ["lasso has ids outside the object table: [7]"]),
+        ((0,), (), FinitePath(ExecutionPath((0, -1))),
+         ["path has ids outside the object table: [-1]"]),
     ])
     def test_each_problem_is_named(self, a1, source, target, witness, problems):
         assert witness_violations(a1, predicate(source, target), witness) == problems
@@ -279,7 +286,7 @@ def _verdict_matches_oracle(ars, pred, cfg):
     for v in (vp, vt):
         if v.witness is not None:
             assert witness_violations(ars, pred, v.witness) == []
-        assert validate_pre_proof(ars, v.pre_proof).ok
+        assert validate_pre_proof(ars, v.pre_proof) == []
         assert v.graph == proof_graph(v.pre_proof)
         assert v.acyclic == is_acyclic(v.graph)
     return vp, vt
@@ -397,7 +404,7 @@ def test_chains_far_goals_pass_every_checker():
             partial = verdict.pre_proof.classification != "disproof"
             assert partial == (goals["partial"].verdict == "PartiallyValid"), name
             assert partial == oracle_partial(ars, pred).valid, name
-            assert validate_pre_proof(ars, verdict.pre_proof).ok, name
+            assert validate_pre_proof(ars, verdict.pre_proof) == [], name
             assert graph_violations(ars, verdict.graph) == [], name
             kind = {None: type(None), "path": FinitePath, "lasso": Lasso}[q.witness]
             assert isinstance(verdict.witness, kind), name
@@ -448,13 +455,67 @@ def test_differential_at_200_states():
             pp = verdict.pre_proof
             assert (pp.classification != "disproof") == oracle_partial(ars, pred).valid
             assert (verdict.witness is None) == oracle_total(ars, pred).valid
-            assert validate_pre_proof(ars, pp).ok
+            assert validate_pre_proof(ars, pp) == []
             assert all(p.source == canon(p.source) for p in pp.tree.preds)
             assert graph_violations(ars, verdict.graph) == []
             if verdict.witness is not None:
                 assert witness_violations(ars, pred, verdict.witness) == []
             kinds.add(type(verdict.witness).__name__)
     assert kinds == {"NoneType", "FinitePath", "Lasso"}
+
+
+def _witness_mutants(rng, ars, w):
+    """Single mutations of the valid witness `w`: the kind, the mutant, and
+    a message `witness_violations` must give for it.  A path drops its last
+    step, whose state is then a reducible end; dropping another step may
+    leave a valid run."""
+    n, labels = ars.n, ars.labels
+    if isinstance(w, FinitePath):
+        kind, walk = "path", w.path.steps
+        rebuilt = lambda steps: FinitePath(ExecutionPath(steps))
+    else:
+        kind, walk = "lasso", w.stem + w.cycle
+        rebuilt = lambda steps: Lasso(steps[:len(w.stem)], steps[len(w.stem):])
+    i = rng.randrange(len(walk))
+    for sign, far in (("too large", n + rng.randrange(3)), ("negative", -1 - rng.randrange(n))):
+        yield (f"{kind} id {sign}", rebuilt(walk[:i] + (far,) + walk[i + 1:]),
+               f"{kind} has ids outside the object table: [{far}]")
+    if kind == "path":
+        t = rng.randrange(n)
+        yield ("step past the stuck end", rebuilt(walk + (t,)),
+               f"no edge {labels[walk[-1]]} -> {labels[t]}")
+        if len(walk) > 1:
+            yield ("dropped step", rebuilt(walk[:-1]),
+                   f"maximal path ends at reducible {labels[walk[-2]]}")
+    elif opening := [t for t in range(n) if w.cycle[0] not in ars.succs[t]]:
+        yield "open cycle", Lasso(w.stem, w.cycle + (rng.choice(opening),)), "cycle does not close"
+
+
+def test_witness_mutations_on_the_200_state_corpus(monkeypatch):
+    """Every witness of the 200-state differential corpus passes
+    `witness_violations`, and each single mutation of it is reported
+    without raising: a state replaced by an out-of-range or negative id, a
+    dropped step, a step past a stuck end, and a lasso cycle that does not
+    close."""
+    cases = []
+    check = witness_violations
+
+    def recorded(ars, pred, witness):
+        cases.append((ars, pred, witness))
+        return check(ars, pred, witness)
+
+    monkeypatch.setitem(globals(), "witness_violations", recorded)
+    test_differential_at_200_states()
+    rng = random.Random(2505)
+    seen = set()
+    for ars, pred, witness in cases:
+        assert check(ars, pred, witness) == []
+        for kind, mutant, message in _witness_mutants(rng, ars, witness):
+            assert message in check(ars, pred, mutant), kind
+            seen.add(kind)
+    assert seen == {f"{kind} id {sign}" for kind in ("path", "lasso")
+                    for sign in ("too large", "negative")} | {
+        "step past the stuck end", "dropped step", "open cycle"}
 
 
 def test_tree_parents_on_the_200_state_corpus(monkeypatch):
@@ -579,8 +640,9 @@ def _witness_digest(seed: int, count: int) -> tuple[dict[str, int], str]:
     for _ in range(count):
         ars = random_ars(rng, max_states=12)
         pred = AprPredicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
-        answers = [oracle_partial(ars, pred), oracle_total(ars, pred)]
-        lines.extend(map(_recorded_repr, answers))
+        # An answer was recorded with the `valid` flag it then stored.
+        lines.extend(f"OracleAnswer(valid={a.valid}, witness={_recorded_repr(a.witness)})"
+                     for a in (oracle_partial(ars, pred), oracle_total(ars, pred)))
         for cfg in (EAGER, MONO):
             for check in (check_partial, check_total):
                 v = check(ars, pred, cfg)

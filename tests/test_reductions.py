@@ -33,19 +33,20 @@ from conftest import (
 class TestValidateSafetyPredicate:
     def test_well_formed(self, a1):
         report = validate_safety_predicate(a1, p=(0,), q=(2,), e=(3,))
-        assert report.disjoint_ok and report.covers_nf_ok and report.q_irreducible_ok
+        assert not (report.disjoint_offenders or report.covers_nf_offenders
+                    or report.q_irreducible_offenders)
         assert report.is_safety_predicate
 
     def test_target_overlaps_errors(self, a1):
         report = validate_safety_predicate(a1, p=(0,), q=(3,), e=(3,))
-        assert not report.disjoint_ok
+        assert report.disjoint_offenders
         assert report.disjoint_offenders == (3,)
 
     def test_reducible_target(self, a1):
         report = validate_safety_predicate(a1, p=(0,), q=(1,), e=(3,))
-        assert not report.q_irreducible_ok
+        assert report.q_irreducible_offenders
         assert report.q_irreducible_offenders == (1,)
-        assert not report.covers_nf_ok  # c is reachable but not covered
+        assert report.covers_nf_offenders  # c is reachable but not covered
 
     def test_reducible_errors_rejected(self, a1):
         with pytest.raises(ArsError, match="augment_error"):
