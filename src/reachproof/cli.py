@@ -45,6 +45,7 @@ from .proofs import (  # noqa: F401
     to_dot,
 )
 from .prover import (
+    AUTO_SWEEPS,
     DEFAULT_NODE_BUDGET,
     FinitePath,
     NodeBudgetExceeded,
@@ -84,10 +85,6 @@ class RunReport:
 
 def report_to_json(report: RunReport) -> str:
     return json.dumps(asdict(report), indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> RunReport:
-    return RunReport(**json.loads(text))
 
 
 def render_witness(ars: System, witness: Witness) -> str:
@@ -334,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--mode", choices=["partial", "total"], default="partial")
         sp.add_argument("--engine", choices=["prover", "oracle"], default="prover")
         sp.add_argument("--strategy", choices=[s.value for s in SplitStrategy],
-                        default=SplitStrategy.EAGER.value)
+                        default=SplitStrategy.AUTO.value,
+                        help=f"how a Der step splits its successors (default: auto, eager until "
+                             f"the search passes {AUTO_SWEEPS} sweeps of the states, then pointwise)")
         sp.add_argument("--emit-proof", metavar="PATH", help="write the proof graph as DOT")
         sp.add_argument("--emit-trace", metavar="PATH",
                         help="write the pre-proof as an indented trace")

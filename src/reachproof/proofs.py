@@ -32,7 +32,6 @@ from .ars import (
     cyclic_sccs,
     der_image,
     image,
-    is_runnable,
     join_labels,
 )
 
@@ -108,22 +107,19 @@ class RuleName(Enum):
 _AXIOM, _SUBS, _DER, _DIS = RuleName
 
 
-def applicable_rules(ars: System, pred: AprPredicate) -> list[RuleName]:
-    """Evaluate every rule's side condition independently (test surface)."""
-    if pred.is_bottom:
-        raise ValueError("no rule applies to the bottom predicate")
-    p = set(ars.check_members(pred.source))
-    q = set(ars.check_members(pred.target))
-    rules = []
-    if not p:
-        rules.append(RuleName.AXIOM)
-    if p & q:
-        rules.append(RuleName.SUBS)
-    if not p & q and is_runnable(ars, pred.source):
-        rules.append(RuleName.DER)
-    if not p & q and p and not ars._nf.isdisjoint(p):
-        rules.append(RuleName.DIS)
-    return rules
+class _EveryState:
+    """The fold set of the pointwise split: every state is in it."""
+
+    __slots__ = ()
+
+    def __contains__(self, state: object) -> bool:
+        return True
+
+    def isdisjoint(self, ids: StateSet) -> bool:
+        return not ids
+
+
+EVERY_STATE = _EveryState()
 
 
 def premises(
@@ -148,10 +144,12 @@ def premises(
     its states off as singleton children, in id order and ahead of the
     rest, and an empty fold set leaves it one child.  The eager strategy
     passes the states whose singleton goal (with the target of `pred`) is
-    a companion, so those children close as buds.  It is read
+    a companion, so those children close as buds.  The fold set is read
     only by its size, by ``isdisjoint`` with the result and, on a hit, by
     ``in``: never iterated or copied, so the cost of a call does not grow
-    with the proof around it.  `target_set` is ``set(pred.target)``: a caller proving many
+    with the proof around it.  The pointwise split passes `EVERY_STATE`,
+    whose children are built straight from the image, with no ``in``.
+    `target_set` is ``set(pred.target)``: a caller proving many
     goals with one target builds it once, and it is built here when
     omitted.  `stop`, when given, is the union of `target_set` and the
     normal forms, both held as sets: a source disjoint from it goes to
@@ -178,6 +176,8 @@ def premises(
             return _DIS, [BOTTOM]
     deriv = der_image(ars, p)
     if fold_states and not fold_states.isdisjoint(deriv):
+        if fold_states is EVERY_STATE:
+            return _DER, [AprPredicate((t,), q) for t in deriv]
         folded = tuple(filter(fold_states.__contains__, deriv))
         parts = [AprPredicate((t,), q) for t in folded]
         if len(folded) < len(deriv):

@@ -26,6 +26,7 @@ from .ars import (
     region_succs,
 )
 from .proofs import (
+    EVERY_STATE,
     AprPredicate,
     DerivationTree,
     PreProof,
@@ -38,6 +39,9 @@ from .proofs import (
 
 
 DEFAULT_NODE_BUDGET = 1_000_000
+# ``AUTO`` splits pointwise once its Der sources sum past this many sweeps
+# of the object table.
+AUTO_SWEEPS = 32
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -51,10 +55,16 @@ class SplitStrategy(Enum):
     ``EAGER`` passes the states whose singleton goal can fold onto an
     already available companion, so a ``Der`` result splits those off as
     singleton children; the remaining states stay together in one child.
+    ``POINTWISE`` passes every state: each ``Der`` child is a singleton.
+    ``AUTO`` is ``EAGER`` until the summed source size of its ``Der``
+    nodes exceeds `AUTO_SWEEPS` times the object count, and ``POINTWISE``
+    from then on.
     """
 
+    AUTO = "auto"
     EAGER = "eager"
     MONOLITHIC = "monolithic"
+    POINTWISE = "pointwise"
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,7 @@ class ProverConfig:
     """Search knobs.  The companion policy is fixed: the earliest-created
     ``Der`` node with the identical predicate wins."""
 
-    strategy: SplitStrategy = SplitStrategy.EAGER
+    strategy: SplitStrategy = SplitStrategy.AUTO
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
@@ -147,7 +157,13 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
     # and gives it back unless the rule is Der.
     companions: dict[StateSet, int] = {}
     fold_states: set[int] = set()
-    folds = fold_states if cfg.strategy is SplitStrategy.EAGER else frozenset()
+    strategy = cfg.strategy
+    folds = {SplitStrategy.MONOLITHIC: frozenset(),
+             SplitStrategy.POINTWISE: EVERY_STATE}.get(strategy, fold_states)
+    # AUTO counts the Der sources down from its budget; below zero it
+    # switches to the pointwise fold set.
+    auto = strategy is SplitStrategy.AUTO
+    sweep_budget = AUTO_SWEEPS * ars.n
     target_set = frozenset(pred.target)
     # With the normal forms as a set, most goals reach Der by one test.
     stop = target_set | ars._nf if isinstance(ars._nf, frozenset) else None
@@ -177,6 +193,10 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
         if rule is der:
             if len(source) == 1:
                 fold_states.add(source[0])
+            if auto:
+                sweep_budget -= len(source)
+                if sweep_budget < 0:
+                    folds, auto = EVERY_STATE, False
         else:
             del companions[source]
         if rule is not dis:  # the bottom child of Dis is closed

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from reachproof import Ars, ModelSystem, builtin_peterson, canon, expand, parse_ars
+from reachproof import (
+    Ars,
+    ModelSystem,
+    RuleName,
+    builtin_peterson,
+    canon,
+    expand,
+    is_runnable,
+    parse_ars,
+)
 
 A1_TEXT = """\
 # four objects, two of them stuck
@@ -43,6 +52,25 @@ def random_ars(rng: random.Random, max_states: int = 8) -> Ars:
     labels = [f"s{i}" for i in range(n)]
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
     return Ars(labels, edges)
+
+
+def applicable_rules(ars: Ars, pred) -> list[RuleName]:
+    """Evaluate every rule's side condition independently: the reference
+    `premises` is compared against."""
+    if pred.is_bottom:
+        raise ValueError("no rule applies to the bottom predicate")
+    p = set(ars.check_members(pred.source))
+    q = set(ars.check_members(pred.target))
+    rules = []
+    if not p:
+        rules.append(RuleName.AXIOM)
+    if p & q:
+        rules.append(RuleName.SUBS)
+    if not p & q and is_runnable(ars, pred.source):
+        rules.append(RuleName.DER)
+    if not p & q and p and not ars._nf.isdisjoint(p):
+        rules.append(RuleName.DIS)
+    return rules
 
 
 def rebuilt_with_sink(ars: Ars, label: str, feeders) -> Ars:

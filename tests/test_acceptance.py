@@ -29,16 +29,19 @@ from reachproof import (
     proof_graph,
     prove,
     reachable,
+    validate_pre_proof,
     validate_safety_predicate,
 )
 from reachproof.cli import main
-from reachproof.proofs import applicable_rules, graph_violations
+from reachproof.proofs import graph_violations
 from reachproof.prover import Lasso, witness_violations
 
-from conftest import random_ars, random_subset
+from conftest import applicable_rules, random_ars, random_subset
 
 EAGER = ProverConfig(strategy=SplitStrategy.EAGER)
 MONO = ProverConfig(strategy=SplitStrategy.MONOLITHIC)
+POINT = ProverConfig(strategy=SplitStrategy.POINTWISE)
+AUTO = ProverConfig(strategy=SplitStrategy.AUTO)
 
 
 def _passed(number: int, name: str) -> None:
@@ -53,13 +56,14 @@ class FuzzCorpus:
     witness_problems: list = field(default_factory=list)
     rule_uniqueness_violations: list = field(default_factory=list)
     graph_problems: list = field(default_factory=list)
+    pre_proof_problems: list = field(default_factory=list)
     graphs_checked: int = 0
     predicates_checked: int = 0
 
 
 @pytest.fixture(scope="module")
 def corpus() -> FuzzCorpus:
-    """Criterion 6 corpus: 1,000 random instances, both strategies, both
+    """Criterion 6 corpus: 1,000 random instances, every strategy, both
     modes; shared by criteria 6-8 so the search runs once."""
     rng = random.Random(0xACCE97)
     out = FuzzCorpus()
@@ -69,7 +73,7 @@ def corpus() -> FuzzCorpus:
         pred = AprPredicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
         expect_partial = oracle_partial(ars, pred).valid
         expect_total = oracle_total(ars, pred).valid
-        for cfg in (EAGER, MONO):
+        for cfg in (EAGER, MONO, POINT, AUTO):
             vp = check_partial(ars, pred, cfg)
             vt = check_total(ars, pred, cfg)
             if (vp.kind is VerdictKind.PARTIALLY_VALID) != expect_partial:
@@ -89,6 +93,8 @@ def corpus() -> FuzzCorpus:
                     out.rule_uniqueness_violations.append((trial, node_pred, rules))
                 out.predicates_checked += 1
             # Criterion 8: structural facts of every produced proof graph.
+            if problems := validate_pre_proof(ars, vp.pre_proof):
+                out.pre_proof_problems.append((trial, cfg.strategy, problems))
             graph = proof_graph(vp.pre_proof)
             problems = graph_violations(ars, graph)
             if problems:
@@ -221,6 +227,7 @@ def test_criterion_07_rule_uniqueness(corpus):
 
 def test_criterion_08_proof_graph_structure(corpus, a1_module, peterson, peterson_system):
     assert corpus.graph_problems == []
+    assert corpus.pre_proof_problems == []
     a1 = a1_module
     exp = peterson
     extra = []

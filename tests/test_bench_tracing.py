@@ -68,7 +68,7 @@ def test_traced_calls_are_looked_up_at_call_time(tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert set(tracer.names) >= {
-        "ars.parse", "reductions.safety_query", "prover.check", "prover.prove.eager",
+        "ars.parse", "reductions.safety_query", "prover.check", "prover.prove.auto",
         "proofs.premises", "proofs.graph", "proofs.acyclic", "prover.witness", "oracle.decide",
         "modeling.parse", "modeling.eval_pred", "modeling.expand", "ars.render"}
     # The size reader counts the sink edges of the safety query by

@@ -10,9 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reachproof import ProverConfig, SplitStrategy, cli
-from reachproof.cli import main, report_from_json, report_to_json
+from reachproof.cli import RunReport, main, report_to_json
 
 from conftest import A1_TEXT, semaphore_source
+
+
+def report_from_json(text: str) -> RunReport:
+    return RunReport(**json.loads(text))
 
 
 @pytest.fixture
@@ -490,36 +494,38 @@ def _query_output(capsys, tmp_path, a1_file, argv) -> str:
 
 
 # Recorded from the CLI when each query subcommand still had its own
-# command function; text, JSON, DOT and trace must stay identical.
+# command function; text, JSON, DOT and trace must stay identical.  The
+# JSON of a default-strategy query was re-recorded when the default became
+# `auto`: only its `"strategy"` field changed, from "eager".
 GOLDEN_QUERY_DIGESTS = {
     ('check-partial', 'text'): "fecd627c6d72b69c8a1ae26bb45f16dc54e0e605aa2e4f98106c130a71910ce9",
-    ('check-partial', 'json'): "1181053b48470442d6098fbe144fb3784ebd5a894b65e85df5ecbadda3ff0f2d",
+    ('check-partial', 'json'): "0caff1ab59b3648520eb59411afcbe94b5bbc591cf36fe7ca11b4aacc33402ab",
     ('check-total', 'text'): "f4796dcab5f917fcf8936b30e0f01e8614aa79d6e65294ee1cfd4840c69ead76",
-    ('check-total', 'json'): "ef08eb1774e78c4a785f6342ac3b524aa665fe831a3af0084603554ee52a360e",
+    ('check-total', 'json'): "51a0ea6c6a33a058f0c4f3f463418d020074ea49c9e6ae7d86ada0442dd1a39f",
     ('check-disproof', 'text'): "23ae024e9ab0f26b8df3df99e8114adb9b3e63650c444833e2f62b06565381ff",
     ('check-disproof', 'json'): "2225e3feea88f1140a3f7bce20b22db9a51180e9574d734912826ef18d31e64c",
     ('check-oracle', 'text'): "326d0c04e79f2c6aea2474a58f931b661cc5ed2b41304996fdb82a4227ba5dc7",
     ('check-oracle', 'json'): "f842a9a36bfdaca10de7eaf4808a3c86cbf4ae14b26bcf84ba8afca43cccdea1",
     ('safety-unsafe', 'text'): "aafcd1292db67cc2447bf0df029b78d0546dfcff1ed4c284da97cb24b97e161d",
-    ('safety-unsafe', 'json'): "ae38621e72fd0a85ae19349079cc69d14e004866a742199b927c4c2907e22fac",
+    ('safety-unsafe', 'json'): "7e0abb4c2b3be45aba3afcc58cc7960010db573266a6cc9099d7f5a74a8b9a73",
     ('safety-safe', 'text'): "fa11c69188d9151eea7d401a455954965256646ddb746772f55ce0391f9bb74f",
-    ('safety-safe', 'json'): "a86bf2f6e085c0657099881e8c696c2e258a024051bd55bf91ac96bf21e260ec",
+    ('safety-safe', 'json'): "24743d10dd88632285bf7e43b45653eb26d4f2d7ab3df60e573cc214dd0f6b24",
     ('safety-oracle', 'text'): "445d9c1c07332c1d108b508b2a19da5cc15a9a26c8ad38026be38d97caa61de6",
     ('safety-oracle', 'json'): "2580ff095e7c6132ba31738874e594eafb5b79374baad56043e354701766a7c4",
     ('safety-peterson', 'text'): "cf02646fd20e9f1df57aa092a7dc091d9d9553f9a0c3aaed0997d7c815aee35c",
-    ('safety-peterson', 'json'): "2f4b599261dc232b2ed1b951135c7374e812a98984519c2307e394f28aa2f77c",
+    ('safety-peterson', 'json'): "53d77afd4c1cdb4fac738cff67d49b7c58214598cd2ed9f496af972a4c294554",
     ('liveness-lasso', 'text'): "941d8035dd4e720a0b866c5f0cc22060b680c47375f10004e94861a39ad0db2d",
-    ('liveness-lasso', 'json'): "ef917f0422e7902afddb839818a3bd3d6c581d97d67e07c20c8cac61d6b5fa2a",
+    ('liveness-lasso', 'json'): "30749aeff52c75fda772528c02d3b861bee8be8e02f9c9ce2b73161f8a877077",
     ('liveness-path', 'text'): "c4b94cedb4592cf5e6472b4df0c6211e6c887e0b6a642a978d0dd1bc4743dfb9",
     ('liveness-path', 'json'): "2e9e8e5aca209993e0ffcd2fefe07b2729c1928cb7734caf2effbccad7a45cea",
     ('liveness-live', 'text'): "191007666b48364bb03e384c81601738eb5f6123a811b1663ba8cf0416d04423",
-    ('liveness-live', 'json'): "c64332d1fe4c71a7f878788d3572bdfbdf6b761d248c6852ded932280ad76a98",
+    ('liveness-live', 'json'): "276df8e2382202a8d530f1b8be13080bafcd242055128609c77f5d9d59ce80b2",
     ('liveness-oracle', 'text'): "e716b843b45faf026eb197fa3fa78395a9aea23348b4845d9c785cfb7134a4eb",
     ('liveness-oracle', 'json'): "78a376cfc4feedc5473d059250da49573d19b0a2d1fc1d5c132b64cba7c88680",
     ('liveness-peterson', 'text'): "d7913545d1d0a4cccf085de3fabd9b759b3ba935e242ffc6b3a2e3bd93d07a8a",
-    ('liveness-peterson', 'json'): "bfbf327120522f241de79385ca6d65d314cfe6e00f6a971fb56cabfc4b8f2b9c",
+    ('liveness-peterson', 'json'): "48ffbd09d20849c74665d571e90cfbf14e3766b21c4181d964c2577bf1a42d6a",
     ('export', 'text'): "0dca5516b9478217a4dafa492409b3c3fb062c82179421c3e0ebc0a713a5c045",
-    ('export', 'json'): "8626cc22ef0880e78b78ca8df7795e74f2687ec01f3a17fa080337d163755730",
+    ('export', 'json'): "4c3040f146e1a8eca7fa7810de30b2c5a1e0be70217a347a36f7bb28901a5c8a",
 }
 
 

@@ -26,13 +26,9 @@ from reachproof import (
     validate_pre_proof,
 )
 from reachproof.ars import bfs_path
-from reachproof.proofs import (
-    applicable_rules,
-    graph_violations,
-    predicate_formatter,
-)
+from reachproof.proofs import graph_violations, predicate_formatter
 
-from conftest import random_ars, random_subset
+from conftest import applicable_rules, random_ars, random_subset
 from test_ars import ars_and_sets
 
 

@@ -2,8 +2,11 @@ import hashlib
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachproof import (
     AprPredicate,
@@ -37,9 +40,12 @@ from reachproof.prover import Lasso, witness_violations
 from reachproof.reductions import build_safety_query
 
 from conftest import bench_workloads, random_ars, random_subset
+from test_ars import ars_and_sets
 
 EAGER = ProverConfig(strategy=SplitStrategy.EAGER)
 MONO = ProverConfig(strategy=SplitStrategy.MONOLITHIC)
+POINT = ProverConfig(strategy=SplitStrategy.POINTWISE)
+AUTO = ProverConfig(strategy=SplitStrategy.AUTO)
 # Goals on the worked system giving a cyclic proof, an acyclic proof and,
 # under MONO, a disproof.
 VERDICT_GOALS = [((0,), (2, 3)), ((0, 1), (0, 1)), ((0,), (2,))]
@@ -380,7 +386,7 @@ def test_rings_workload_graphs_and_verdicts():
 
 def test_chains_far_goals_pass_every_checker():
     """Every far goal of the benchmark's `chains` workload (seed 1: a
-    2,200-step spine per kind, both strategies, both modes) through the
+    2,200-step spine per kind, every strategy, both modes) through the
     independent checkers: the verdicts are the generator's and the
     oracle's, the pre-proof validates, its proof graph has no structural
     fault, and the witness is of the expected kind and re-validates.  Both
@@ -396,7 +402,7 @@ def test_chains_far_goals_pass_every_checker():
         ars = parse_ars(plan.files[path])
         q = goals["total"]
         pred = AprPredicate(ars.ids_of(q.source), ars.ids_of(q.target))
-        for cfg in (EAGER, MONO):
+        for cfg in (EAGER, MONO, POINT, AUTO):
             name = f"{path} {cfg.strategy.value}"
             verdict = check_total(ars, pred, cfg)
             assert verdict.kind.value == q.verdict, name
@@ -434,9 +440,19 @@ def _mixed_system(rng: random.Random, n: int) -> Ars:
     return ars
 
 
+def _assert_checked(ars, pred, verdict):
+    """The verdict is both oracles', and every checker passes its proof."""
+    assert (verdict.pre_proof.classification != "disproof") == oracle_partial(ars, pred).valid
+    assert (verdict.witness is None) == oracle_total(ars, pred).valid
+    assert validate_pre_proof(ars, verdict.pre_proof) == []
+    assert graph_violations(ars, verdict.graph) == []
+    if verdict.witness is not None:
+        assert witness_violations(ars, pred, verdict.witness) == []
+
+
 def test_differential_at_200_states():
-    """Random systems of 120-200 states, some as safety queries, under both
-    strategies: every pre-proof validates and holds canonical goals, its
+    """Random systems of 120-200 states, some as safety queries, under every
+    strategy: every pre-proof validates and holds canonical goals, its
     graph has no structural fault, both verdicts are the oracle's and every
     witness re-validates."""
     rng = random.Random(2021)
@@ -450,16 +466,10 @@ def test_differential_at_200_states():
         pred = AprPredicate(source, canon(target))
         if rng.random() < 0.2:
             ars, pred = build_safety_query(ars, source, ars.normal_forms[:3] or (0,))
-        for cfg in (EAGER, MONO):
+        for cfg in (EAGER, MONO, POINT, AUTO):
             verdict = check_total(ars, pred, cfg)
-            pp = verdict.pre_proof
-            assert (pp.classification != "disproof") == oracle_partial(ars, pred).valid
-            assert (verdict.witness is None) == oracle_total(ars, pred).valid
-            assert validate_pre_proof(ars, pp) == []
-            assert all(p.source == canon(p.source) for p in pp.tree.preds)
-            assert graph_violations(ars, verdict.graph) == []
-            if verdict.witness is not None:
-                assert witness_violations(ars, pred, verdict.witness) == []
+            _assert_checked(ars, pred, verdict)
+            assert all(p.source == canon(p.source) for p in verdict.pre_proof.tree.preds)
             kinds.add(type(verdict.witness).__name__)
     assert kinds == {"NoneType", "FinitePath", "Lasso"}
 
@@ -532,7 +542,7 @@ def test_tree_parents_on_the_200_state_corpus(monkeypatch):
 
     monkeypatch.setattr(prover, "prove", recorded)
     test_differential_at_200_states()
-    assert len(pre_proofs) == 120
+    assert len(pre_proofs) == 240
     for pp in pre_proofs:
         t = pp.tree
         inverse = {c: v for v, kids in t.children.items() for c in kids}
@@ -666,3 +676,101 @@ GOLDEN_WITNESSES = (
 
 def test_witnesses_match_golden_digest():
     assert _witness_digest(4242, 400) == GOLDEN_WITNESSES
+
+
+def _der_work(pp) -> int:
+    """W, the summed source size of the pre-proof's ``Der`` nodes: the work
+    `AUTO_SWEEPS` bounds."""
+    t = pp.tree
+    return sum(len(t.preds[v].source) for v, r in t.rules.items() if r is RuleName.DER)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ars_and_sets(max_states=8), st.sampled_from([0.25, 0.5, 1, 2, prover.AUTO_SWEEPS]))
+def test_auto_is_eager_until_the_switch(case, sweeps):
+    """Auto's pre-proof is eager's, digest for digest, whenever eager's
+    ``Der`` work stays within `AUTO_SWEEPS` sweeps of the object table;
+    past that, auto's work passes the bound too, and its proof validates."""
+    ars, source, target = case
+    pred = AprPredicate(source, target)
+    eager = prove(ars, pred, EAGER)
+    with mock.patch.object(prover, "AUTO_SWEEPS", sweeps):
+        auto = prove(ars, pred, AUTO)
+    if _der_work(eager) <= sweeps * ars.n:
+        assert _digest(auto) == _digest(eager)
+    else:
+        assert _der_work(auto) > sweeps * ars.n
+        assert validate_pre_proof(ars, auto) == []
+
+
+def _prime_rings(primes=(2, 3, 5, 7)):
+    """A token on each of the disjoint rings `primes` and an unreachable
+    target: the set-valued goal recurs only after lcm(primes) steps."""
+    labels = [f"r{p}_{i}" for p in primes for i in range(p)] + ["x"]
+    ix = {lab: i for i, lab in enumerate(labels)}
+    edges = [(ix[f"r{p}_{i}"], ix[f"r{p}_{(i + 1) % p}"]) for p in primes for i in range(p)]
+    return Ars(labels, edges), predicate([ix[f"r{p}_0"] for p in primes], [ix["x"]])
+
+
+def test_auto_switches_to_pointwise_on_prime_rings():
+    """Eager's ``Der`` work on four prime rings passes `AUTO_SWEEPS` sweeps
+    of the table, so auto switches: a multi-state ``Der`` source splits into
+    singleton children, two or more of them ``Der`` nodes, and the mixed
+    tree is a valid, smaller proof with a lasso."""
+    ars, pred = _prime_rings()
+    eager = prove(ars, pred, EAGER)
+    assert _der_work(eager) > prover.AUTO_SWEEPS * ars.n
+    verdict = check_total(ars, pred)
+    t = verdict.pre_proof.tree
+    split = [v for v, r in t.rules.items() if r is RuleName.DER and len(t.preds[v].source) > 1
+             and all(len(t.preds[c].source) == 1 for c in t.children[v])
+             and sum(t.rules.get(c) is RuleName.DER for c in t.children[v]) >= 2]
+    assert split
+    assert t.node_count < eager.tree.node_count
+    assert isinstance(verdict.witness, Lasso)
+    _assert_checked(ars, pred, verdict)
+
+
+# Node counts of the eight goals of the benchmark's `rings` workload (seed
+# 1: rings of 2 to 13 states, 41-43 objects), one per goal.  Eager builds
+# 2,532-6,868 nodes on each of the first six.
+RING_NODES = {
+    "pointwise": (46, 46, 45, 44, 47, 47, 32, 49),
+    "auto": (336, 360, 404, 411, 420, 352, 17, 6),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(RING_NODES))
+def test_rings_node_counts(strategy):
+    plan = bench_workloads().rings(Path("rings"), 1)
+    counts = []
+    for op in plan.ops:
+        if op.name.endswith("-eager-total"):
+            q = op.query
+            ars = parse_ars(plan.files[q.system])
+            pred = AprPredicate(ars.ids_of(q.source), ars.ids_of(q.target))
+            verdict = check_total(ars, pred, ProverConfig(SplitStrategy(strategy)))
+            _assert_checked(ars, pred, verdict)
+            counts.append(verdict.stats.nodes)
+    assert tuple(counts) == RING_NODES[strategy]
+
+
+def test_pointwise_and_switched_auto_differential():
+    """3,000 random systems of up to 8 or 40 states under pointwise and
+    under auto forced to switch after 0.5 and 2 sweeps of the table, each
+    checked partial and total: 18,000 checks against the oracles, every
+    pre-proof, graph and witness through its checker.  The forced switch
+    makes 57 and 4 of the 3,000 proofs differ from eager's."""
+    rng = random.Random(2726)
+    changed = {0.5: 0, 2: 0}
+    for _ in range(3000):
+        ars = random_ars(rng, max_states=rng.choice((8, 40)))
+        pred = AprPredicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
+        _assert_checked(ars, pred, check_total(ars, pred, POINT))
+        eager = _digest(prove(ars, pred, EAGER))
+        for sweeps in changed:
+            with mock.patch.object(prover, "AUTO_SWEEPS", sweeps):
+                verdict = check_total(ars, pred, AUTO)
+            _assert_checked(ars, pred, verdict)
+            changed[sweeps] += _digest(verdict.pre_proof) != eager
+    assert changed[0.5] > 40 and changed[2] > 0, changed

@@ -177,15 +177,16 @@ def test_model_lazy_labels_are_only_read():
     assert set(dict.keys(system.labels)) == set(src)
 
 
-def _run_op(tmp_path, generator, name):
-    """Write the input of one benchmark operation (seed 1) and run it."""
+def _run_op(tmp_path, generator, name, *extra):
+    """Write the input of one benchmark operation (seed 1) and run it, with
+    `extra` flags appended."""
     plan = generator(tmp_path, 1)
     op = next(op for op in plan.ops if op.name == name)
     for path, text in plan.files.items():
         if path in op.argv:
             Path(path).write_text(text, encoding="utf-8")
     with redirect_stdout(io.StringIO()):
-        cli.main(op.argv)
+        cli.main(op.argv + list(extra))
     return op
 
 
@@ -194,10 +195,18 @@ def _sha256(path):
 
 
 def test_scale_golden_far_chain_export(tmp_path):
-    """DOT and trace of a far `chains` goal: 2,721 nodes, a cycle, a bud."""
-    op = _run_op(tmp_path, bench_workloads().chains, "lasso-far-export")
-    assert _sha256(op.dot) == "abf7504007590fe7fbef0cffafa107bf9c2eb851076dc29ef74049cf568f343b"
-    assert _sha256(op.trace) == "29671ca5de4169cfa1bb0ff996e8db5c7ba94f5c083115669d1f564d0c504ba9"
+    """DOT and trace of a far `chains` goal, whose proof graph is cyclic:
+    under the default, auto, which splits pointwise part way down (2,816
+    nodes, 186 buds), and under eager, the default when the second pair
+    was recorded (2,721 nodes, a bud)."""
+    for extra, dot, trace in (
+            ((), "0833ccb79dfdf1ab8bd5ee6043ee0c2f5c860903cf8eba63a390a3e3da2cb13b",
+             "ce4ca8adcb92a80ef133dd88b17489d1682d2189a33419c7ae6dba64e841a40f"),
+            (("--strategy", "eager"),
+             "abf7504007590fe7fbef0cffafa107bf9c2eb851076dc29ef74049cf568f343b",
+             "29671ca5de4169cfa1bb0ff996e8db5c7ba94f5c083115669d1f564d0c504ba9")):
+        op = _run_op(tmp_path, bench_workloads().chains, "lasso-far-export", *extra)
+        assert (_sha256(op.dot), _sha256(op.trace)) == (dot, trace), extra
 
 
 def test_scale_golden_semaphore_liveness_dot(tmp_path):
