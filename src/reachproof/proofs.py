@@ -107,19 +107,9 @@ class RuleName(Enum):
 _AXIOM, _SUBS, _DER, _DIS = RuleName
 
 
-class _EveryState:
-    """The fold set of the pointwise split: every state is in it."""
-
-    __slots__ = ()
-
-    def __contains__(self, state: object) -> bool:
-        return True
-
-    def isdisjoint(self, ids: StateSet) -> bool:
-        return not ids
-
-
-EVERY_STATE = _EveryState()
+# The fold set of the pointwise split, standing for every state: `premises`
+# knows it by identity and never reads it.
+EVERY_STATE = object()
 
 
 def premises(
@@ -147,8 +137,8 @@ def premises(
     a companion, so those children close as buds.  The fold set is read
     only by its size, by ``isdisjoint`` with the result and, on a hit, by
     ``in``: never iterated or copied, so the cost of a call does not grow
-    with the proof around it.  The pointwise split passes `EVERY_STATE`,
-    whose children are built straight from the image, with no ``in``.
+    with the proof around it.  `EVERY_STATE` splits the result into
+    singleton children, built straight from the image.
     `target_set` is ``set(pred.target)``: a caller proving many
     goals with one target builds it once, and it is built here when
     omitted.  `stop`, when given, is the union of `target_set` and the
@@ -175,9 +165,9 @@ def premises(
         if not ars._nf.isdisjoint(p):
             return _DIS, [BOTTOM]
     deriv = der_image(ars, p)
+    if fold_states is EVERY_STATE:
+        return _DER, [AprPredicate((t,), q) for t in deriv]
     if fold_states and not fold_states.isdisjoint(deriv):
-        if fold_states is EVERY_STATE:
-            return _DER, [AprPredicate((t,), q) for t in deriv]
         folded = tuple(filter(fold_states.__contains__, deriv))
         parts = [AprPredicate((t,), q) for t in folded]
         if len(folded) < len(deriv):

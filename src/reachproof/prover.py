@@ -55,16 +55,14 @@ class SplitStrategy(Enum):
     ``EAGER`` passes the states whose singleton goal can fold onto an
     already available companion, so a ``Der`` result splits those off as
     singleton children; the remaining states stay together in one child.
-    ``POINTWISE`` passes every state: each ``Der`` child is a singleton.
     ``AUTO`` is ``EAGER`` until the summed source size of its ``Der``
-    nodes exceeds `AUTO_SWEEPS` times the object count, and ``POINTWISE``
-    from then on.
+    nodes exceeds `AUTO_SWEEPS` times the object count; from then on it
+    passes `EVERY_STATE`, so each ``Der`` child is a singleton.
     """
 
     AUTO = "auto"
     EAGER = "eager"
     MONOLITHIC = "monolithic"
-    POINTWISE = "pointwise"
 
 
 @dataclass(frozen=True)
@@ -157,12 +155,10 @@ def prove(ars: System, pred: AprPredicate, cfg: ProverConfig | None = None) -> P
     # and gives it back unless the rule is Der.
     companions: dict[StateSet, int] = {}
     fold_states: set[int] = set()
-    strategy = cfg.strategy
-    folds = {SplitStrategy.MONOLITHIC: frozenset(),
-             SplitStrategy.POINTWISE: EVERY_STATE}.get(strategy, fold_states)
+    folds = frozenset() if cfg.strategy is SplitStrategy.MONOLITHIC else fold_states
     # AUTO counts the Der sources down from its budget; below zero it
     # switches to the pointwise fold set.
-    auto = strategy is SplitStrategy.AUTO
+    auto = cfg.strategy is SplitStrategy.AUTO
     sweep_budget = AUTO_SWEEPS * ars.n
     target_set = frozenset(pred.target)
     # With the normal forms as a set, most goals reach Der by one test.

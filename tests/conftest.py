@@ -3,18 +3,22 @@ import random
 import sys
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from reachproof import (
     Ars,
     ModelSystem,
+    ProverConfig,
     RuleName,
+    SplitStrategy,
     builtin_peterson,
     canon,
     expand,
     is_runnable,
     parse_ars,
+    prover,
 )
 
 A1_TEXT = """\
@@ -71,6 +75,16 @@ def applicable_rules(ars: Ars, pred) -> list[RuleName]:
     if not p & q and p and not ars._nf.isdisjoint(p):
         rules.append(RuleName.DIS)
     return rules
+
+
+def strategy_runs():
+    """Every strategy's name and config, then auto forced to switch after its
+    first ``Der`` node, so that every later ``Der`` result splits pointwise:
+    `AUTO_SWEEPS` is patched to 0 while the loop body runs for that one."""
+    for strategy in SplitStrategy:
+        yield strategy.value, ProverConfig(strategy)
+    with mock.patch.object(prover, "AUTO_SWEEPS", 0):
+        yield "auto-switched", ProverConfig(SplitStrategy.AUTO)
 
 
 def rebuilt_with_sink(ars: Ars, label: str, feeders) -> Ars:

@@ -36,12 +36,10 @@ from reachproof.cli import main
 from reachproof.proofs import graph_violations
 from reachproof.prover import Lasso, witness_violations
 
-from conftest import applicable_rules, random_ars, random_subset
+from conftest import applicable_rules, random_ars, random_subset, strategy_runs
 
 EAGER = ProverConfig(strategy=SplitStrategy.EAGER)
 MONO = ProverConfig(strategy=SplitStrategy.MONOLITHIC)
-POINT = ProverConfig(strategy=SplitStrategy.POINTWISE)
-AUTO = ProverConfig(strategy=SplitStrategy.AUTO)
 
 
 def _passed(number: int, name: str) -> None:
@@ -73,18 +71,18 @@ def corpus() -> FuzzCorpus:
         pred = AprPredicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
         expect_partial = oracle_partial(ars, pred).valid
         expect_total = oracle_total(ars, pred).valid
-        for cfg in (EAGER, MONO, POINT, AUTO):
+        for strategy, cfg in strategy_runs():
             vp = check_partial(ars, pred, cfg)
             vt = check_total(ars, pred, cfg)
             if (vp.kind is VerdictKind.PARTIALLY_VALID) != expect_partial:
-                out.verdict_mismatches.append((trial, cfg.strategy, "partial"))
+                out.verdict_mismatches.append((trial, strategy, "partial"))
             if (vt.kind is VerdictKind.TOTALLY_VALID) != expect_total:
-                out.verdict_mismatches.append((trial, cfg.strategy, "total"))
+                out.verdict_mismatches.append((trial, strategy, "total"))
             for verdict in (vp, vt):
                 if verdict.witness is not None:
                     problems = witness_violations(ars, pred, verdict.witness)
                     if problems:
-                        out.witness_problems.append((trial, cfg.strategy, problems))
+                        out.witness_problems.append((trial, strategy, problems))
             # Criterion 7: rule uniqueness over every encountered predicate.
             for node_pred in {p for p in vp.pre_proof.tree.preds if not p.is_bottom}:
                 rules = applicable_rules(ars, node_pred)
@@ -94,11 +92,11 @@ def corpus() -> FuzzCorpus:
                 out.predicates_checked += 1
             # Criterion 8: structural facts of every produced proof graph.
             if problems := validate_pre_proof(ars, vp.pre_proof):
-                out.pre_proof_problems.append((trial, cfg.strategy, problems))
+                out.pre_proof_problems.append((trial, strategy, problems))
             graph = proof_graph(vp.pre_proof)
             problems = graph_violations(ars, graph)
             if problems:
-                out.graph_problems.append((trial, cfg.strategy, problems))
+                out.graph_problems.append((trial, strategy, problems))
             out.graphs_checked += 1
         out.trials += 1
     out.elapsed = time.perf_counter() - started

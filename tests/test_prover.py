@@ -39,12 +39,11 @@ from reachproof.proofs import graph_violations
 from reachproof.prover import Lasso, witness_violations
 from reachproof.reductions import build_safety_query
 
-from conftest import bench_workloads, random_ars, random_subset
+from conftest import bench_workloads, random_ars, random_subset, strategy_runs
 from test_ars import ars_and_sets
 
 EAGER = ProverConfig(strategy=SplitStrategy.EAGER)
 MONO = ProverConfig(strategy=SplitStrategy.MONOLITHIC)
-POINT = ProverConfig(strategy=SplitStrategy.POINTWISE)
 AUTO = ProverConfig(strategy=SplitStrategy.AUTO)
 # Goals on the worked system giving a cyclic proof, an acyclic proof and,
 # under MONO, a disproof.
@@ -402,8 +401,8 @@ def test_chains_far_goals_pass_every_checker():
         ars = parse_ars(plan.files[path])
         q = goals["total"]
         pred = AprPredicate(ars.ids_of(q.source), ars.ids_of(q.target))
-        for cfg in (EAGER, MONO, POINT, AUTO):
-            name = f"{path} {cfg.strategy.value}"
+        for strategy, cfg in strategy_runs():
+            name = f"{path} {strategy}"
             verdict = check_total(ars, pred, cfg)
             assert verdict.kind.value == q.verdict, name
             assert (verdict.witness is None) == oracle_total(ars, pred).valid, name
@@ -466,7 +465,7 @@ def test_differential_at_200_states():
         pred = AprPredicate(source, canon(target))
         if rng.random() < 0.2:
             ars, pred = build_safety_query(ars, source, ars.normal_forms[:3] or (0,))
-        for cfg in (EAGER, MONO, POINT, AUTO):
+        for _, cfg in strategy_runs():
             verdict = check_total(ars, pred, cfg)
             _assert_checked(ars, pred, verdict)
             assert all(p.source == canon(p.source) for p in verdict.pre_proof.tree.preds)
@@ -731,17 +730,18 @@ def test_auto_switches_to_pointwise_on_prime_rings():
     _assert_checked(ars, pred, verdict)
 
 
-# Node counts of the eight goals of the benchmark's `rings` workload (seed
-# 1: rings of 2 to 13 states, 41-43 objects), one per goal.  Eager builds
-# 2,532-6,868 nodes on each of the first six.
+# Node counts of auto on the eight goals of the benchmark's `rings`
+# workload (seed 1: rings of 2 to 13 states, 41-43 objects), one per goal,
+# by `AUTO_SWEEPS`: at 0 it switches after the first ``Der`` node.  Eager
+# builds 2,532-6,868 nodes on each of the first six.
 RING_NODES = {
-    "pointwise": (46, 46, 45, 44, 47, 47, 32, 49),
-    "auto": (336, 360, 404, 411, 420, 352, 17, 6),
+    0: (46, 48, 43, 46, 47, 47, 27, 49),
+    prover.AUTO_SWEEPS: (336, 360, 404, 411, 420, 352, 17, 6),
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(RING_NODES))
-def test_rings_node_counts(strategy):
+@pytest.mark.parametrize("sweeps", sorted(RING_NODES))
+def test_rings_node_counts(sweeps):
     plan = bench_workloads().rings(Path("rings"), 1)
     counts = []
     for op in plan.ops:
@@ -749,28 +749,29 @@ def test_rings_node_counts(strategy):
             q = op.query
             ars = parse_ars(plan.files[q.system])
             pred = AprPredicate(ars.ids_of(q.source), ars.ids_of(q.target))
-            verdict = check_total(ars, pred, ProverConfig(SplitStrategy(strategy)))
+            with mock.patch.object(prover, "AUTO_SWEEPS", sweeps):
+                verdict = check_total(ars, pred, AUTO)
             _assert_checked(ars, pred, verdict)
             counts.append(verdict.stats.nodes)
-    assert tuple(counts) == RING_NODES[strategy]
+    assert tuple(counts) == RING_NODES[sweeps]
 
 
-def test_pointwise_and_switched_auto_differential():
-    """3,000 random systems of up to 8 or 40 states under pointwise and
-    under auto forced to switch after 0.5 and 2 sweeps of the table, each
-    checked partial and total: 18,000 checks against the oracles, every
-    pre-proof, graph and witness through its checker.  The forced switch
-    makes 57 and 4 of the 3,000 proofs differ from eager's."""
+def test_switched_auto_differential():
+    """3,000 random systems of up to 8 or 40 states under auto forced to
+    switch after its first ``Der`` node and after 0.5 and 2 sweeps of the
+    table, each checked partial and total: 18,000 checks against the
+    oracles, every pre-proof, graph and witness through its checker.  The
+    three forced switches make 177, 57 and 4 of the 3,000 proofs differ
+    from eager's."""
     rng = random.Random(2726)
-    changed = {0.5: 0, 2: 0}
+    changed = {0: 0, 0.5: 0, 2: 0}
     for _ in range(3000):
         ars = random_ars(rng, max_states=rng.choice((8, 40)))
         pred = AprPredicate(random_subset(rng, ars.n), random_subset(rng, ars.n))
-        _assert_checked(ars, pred, check_total(ars, pred, POINT))
         eager = _digest(prove(ars, pred, EAGER))
         for sweeps in changed:
             with mock.patch.object(prover, "AUTO_SWEEPS", sweeps):
                 verdict = check_total(ars, pred, AUTO)
             _assert_checked(ars, pred, verdict)
             changed[sweeps] += _digest(verdict.pre_proof) != eager
-    assert changed[0.5] > 40 and changed[2] > 0, changed
+    assert changed[0] > 150 and changed[0.5] > 40 and changed[2] > 0, changed
